@@ -87,9 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="node budget for the exhaustive scan",
     )
     p_verify.add_argument(
-        "--workers", type=int, default=1, help="threads for the exhaustive scan"
-    )
-    p_verify.add_argument(
         "--trace", action="store_true", help="include reduction traces in the output"
     )
 
@@ -129,14 +126,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     families = {}
     if args.strategy in ("brute", "both"):
         families["brute"] = enumerate_bruteforce(
-            inst.graph, max_nodes=args.max_brute_nodes, workers=args.workers
+            inst.graph, max_nodes=args.max_brute_nodes
         )
     if args.strategy in ("flow", "both"):
         families["flow"] = enumerate_flow(inst.graph)
     strategies_agree = True
     if args.strategy == "both":
         strategies_agree = families["brute"].sides() == families["flow"].sides()
-    family = families.get("brute") or families["flow"]
+    family = families["flow" if args.strategy == "flow" else "brute"]
 
     cert = verify_basic(inst, family)
     traces = None

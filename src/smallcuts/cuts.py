@@ -5,10 +5,10 @@ excludes node 1.  Enumeration returns every cut whose capacity is strictly
 below the graph threshold, by one of three strategies:
 
 * ``enumerate_bruteforce`` scans all 2^(n-1) - 1 canonical sides (vectorized,
-  guarded by a node budget, optionally split across worker threads);
+  guarded by a node budget);
 * ``enumerate_flow`` runs an exact branch-and-bound on node assignments with
-  a min-cut (max-flow) lower bound per branch, usable beyond the brute-force
-  budget;
+  a min-cut (max-flow) lower bound per branch, usable far beyond the
+  brute-force budget;
 * ``karger_probe`` repeats seeded capacity-weighted edge contraction, which
   can only ever find genuine cuts and serves as a randomized stress test.
 """
@@ -16,8 +16,6 @@ below the graph threshold, by one of three strategies:
 from __future__ import annotations
 
 import random
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -131,14 +129,11 @@ def _mask_to_side(mask: int) -> frozenset[int]:
     return frozenset(side)
 
 
-def enumerate_bruteforce(
-    g: CapGraph, max_nodes: int = 24, workers: int = 1
-) -> CutFamily:
+def enumerate_bruteforce(g: CapGraph, max_nodes: int = 24) -> CutFamily:
     """Every small cut, by scanning all canonical sides.
 
     Refuses graphs above ``max_nodes`` (raise the budget explicitly to go
-    further; with ``workers`` > 1 the mask range is split across threads,
-    which run concurrently because the scan kernel is vectorized).
+    further).
     """
     if g.n > max_nodes:
         raise BruteForceSizeError(
@@ -149,16 +144,10 @@ def enumerate_bruteforce(
         raise BruteForceSizeError("bitmask scan supports at most 64 nodes")
     total = 1 << (g.n - 1)  # masks 1 .. total-1
     chunk = 1 << 20
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(1, total, chunk)]
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r: _scan_masks(g, *r), ranges))
-    else:
-        parts = [_scan_masks(g, lo, hi) for lo, hi in ranges]
     cuts = [
         Cut(side=_mask_to_side(mask), capacity=cap)
-        for part in parts
-        for mask, cap in part
+        for lo in range(1, total, chunk)
+        for mask, cap in _scan_masks(g, lo, min(lo + chunk, total))
     ]
     return CutFamily.collect(cuts, g.lam)
 
@@ -167,59 +156,86 @@ def enumerate_bruteforce(
 # max-flow and branch-and-bound enumeration
 
 
-def _min_cut_value(
-    g: CapGraph,
-    source_nodes: frozenset[int],
-    sink_nodes: frozenset[int],
-    cutoff: int | None = None,
-) -> int:
-    """Min cut separating the contracted source set from the contracted sink
-    set, by augmenting paths.  With ``cutoff`` the search stops as soon as the
-    flow reaches it, so a return value >= cutoff means only "at least cutoff".
+def _arcs(
+    n: int, edges: Iterable[tuple[int, int, int]]
+) -> tuple[list[list[tuple[int, int]]], list[int], list[int]]:
+    """Array adjacency of a graph on nodes 1..n: ``(adj, head, cap)``.
+
+    Each edge becomes an even arc ``a`` (lo to hi) and arc ``a + 1`` (hi to
+    lo), each with the edge's capacity.  ``head[a]`` is the node arc ``a``
+    enters, so its tail is ``head[a ^ 1]``, and ``adj[v]`` lists ``(w, a)``
+    for every arc ``a`` from v to w.  Self-loops cross no cut and get no arc.
     """
-    comp: dict[int, int] = {}
-    for v in source_nodes:
-        comp[v] = 0
-    for v in sink_nodes:
-        comp[v] = 1
-    nxt = 2
-    for v in g.node_range():
-        if v not in comp:
-            comp[v] = nxt
-            nxt += 1
-    res: list[dict[int, int]] = [{} for _ in range(nxt)]
-    for lo, hi, c in g.edges:
-        a, b = comp[lo], comp[hi]
-        if a != b:
-            res[a][b] = res[a].get(b, 0) + c
-            res[b][a] = res[b].get(a, 0) + c
-    flow = 0
-    while cutoff is None or flow < cutoff:
-        parent = [-1] * nxt
-        parent[0] = 0
-        queue = deque([0])
-        while queue and parent[1] == -1:
-            u = queue.popleft()
-            for v, c in res[u].items():
-                if c > 0 and parent[v] == -1:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[1] == -1:
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    head: list[int] = []
+    cap: list[int] = []
+    for lo, hi, c in edges:
+        if lo == hi:
+            continue
+        a = len(head)
+        head += (hi, lo)
+        cap += (c, c)
+        adj[lo].append((hi, a))
+        adj[hi].append((lo, a + 1))
+    return adj, head, cap
+
+
+def _flow_through_free(
+    adj: list[list[tuple[int, int]]],
+    head: list[int],
+    cap: list[int],
+    side: list[int],
+    frontier: int,
+    starts: Iterable[tuple[int, int]],
+    need: int,
+) -> int:
+    """Max flow from the committed source nodes to the committed sink nodes
+    through the free nodes only, by augmenting paths, stopped at ``need``.
+
+    Nodes up to ``frontier`` are committed, to the source where ``side`` is 0
+    and to the sink where it is 1; nodes above it are free.  ``starts`` lists
+    the arcs ``(w, a)`` from a source node into a free node w.  An edge
+    between two committed nodes carries nothing here: its capacity is part of
+    the boundary the caller has already decided.  The flow is a map from arc
+    id to net flow, touched only along augmenting paths, so parallel edges
+    stay apart.  A return value >= ``need`` means only "at least ``need``".
+    """
+    flow: dict[int, int] = {}
+    total = 0
+    while total < need:
+        via: dict[int, int] = {}  # free node reached -> arc it was reached by
+        queue: list[int] = []
+        for w, a in starts:
+            if w not in via and cap[a] > flow.get(a, 0):
+                via[w] = a
+                queue.append(w)
+        last = -1
+        for x in queue:  # the queue grows while it is walked
+            for w, a in adj[x]:
+                if cap[a] <= flow.get(a, 0):
+                    continue
+                if w > frontier:
+                    if w not in via:
+                        via[w] = a
+                        queue.append(w)
+                elif side[w]:
+                    last = a
+                    break
+            if last >= 0:
+                break
+        if last < 0:
             break
-        aug = None
-        v = 1
-        while v != 0:
-            u = parent[v]
-            aug = res[u][v] if aug is None else min(aug, res[u][v])
-            v = u
-        v = 1
-        while v != 0:
-            u = parent[v]
-            res[u][v] -= aug
-            res[v][u] = res[v].get(u, 0) + aug
-            v = u
-        flow += aug
-    return flow
+        path = [last]
+        x = head[last ^ 1]
+        while x in via:  # walk back until the tail is a source node
+            path.append(via[x])
+            x = head[via[x] ^ 1]
+        push = min(cap[a] - flow.get(a, 0) for a in path)
+        for a in path:
+            flow[a] = flow.get(a, 0) + push
+            flow[a ^ 1] = flow.get(a ^ 1, 0) - push
+        total += push
+    return total
 
 
 def max_flow(
@@ -235,58 +251,74 @@ def max_flow(
         raise ValueError("source and sink sets overlap")
     if not (s <= nodes and t <= nodes):
         raise ValueError("node index out of range")
-    return _min_cut_value(g, s, t)
+    # Relabel so that the sources come first, then the sinks, then the free
+    # nodes: the committed nodes are exactly those up to the frontier.
+    order = sorted(s) + sorted(t) + sorted(nodes - s - t)
+    label = {v: i for i, v in enumerate(order, 1)}
+    frontier = len(s) + len(t)
+    side = [0] * (len(s) + 1) + [1] * (g.n - len(s))
+    adj, head, cap = _arcs(g.n, ((label[lo], label[hi], c) for lo, hi, c in g.edges))
+    direct = sum(c for lo, hi, c in g.edges if (lo in s and hi in t) or (lo in t and hi in s))
+    starts = [(w, a) for u in range(1, len(s) + 1) for w, a in adj[u] if w > frontier]
+    total = sum(c for _, _, c in g.edges)
+    return direct + _flow_through_free(adj, head, cap, side, frontier, starts, total)
 
 
 def enumerate_flow(g: CapGraph) -> CutFamily:
     """Every small cut, by branch-and-bound over node assignments.
 
     Nodes are committed in index order to the side of node 1 or to the other
-    side.  A branch dies when the decided boundary alone, or the min cut
-    between the two committed sets (a lower bound for every completion),
-    reaches the threshold.  Leaves are exact cuts, so the result equals the
-    exhaustive scan wherever both run.
+    side.  A branch dies when the decided boundary ``b`` alone reaches the
+    threshold, or when ``b`` plus the max flow from the committed source set
+    to the committed sink set through the undecided nodes only does: that sum
+    is the min cut between the two committed sets, a lower bound for every
+    completion.  The flow stops once it reaches ``lam - b``, so each bound
+    makes at most ``lam - b`` augmentations, on an adjacency built once per
+    call.
+    Surviving branches are kept on an explicit stack of ``(node, side,
+    boundary, count)`` frames, so the depth is not limited by recursion.
+    Leaves are exact cuts, so the result equals the exhaustive scan wherever
+    both run.
     """
     _check_connected(g)
     lam = g.lam
     n = g.n
-    nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in g.node_range()}
-    for lo, hi, c in g.edges:
-        nbrs[lo].append((hi, c))
-        nbrs[hi].append((lo, c))
-    side = [0] * (n + 1)  # side[v] valid for decided v only; node 1 fixed at 0
+    adj, head, cap = _arcs(n, g.edges)
+    # lower[v]: (u, capacity) of the arcs from v to nodes decided before it;
+    # crossing[v]: arcs (u, w, a) from a node u <= v to a node w > v.
+    lower = [[(w, cap[a]) for w, a in adj[v] if w < v] for v in range(n + 1)]
+    crossing: list[tuple[tuple[int, int, int], ...]] = [()] * (n + 1)
+    open_arcs: dict[int, tuple[int, int, int]] = {}
+    for v in range(1, n + 1):
+        for w, a in adj[v]:
+            if w > v:
+                open_arcs[a] = (v, w, a)
+            else:
+                del open_arcs[a ^ 1]
+        crossing[v] = tuple(open_arcs.values())
+
+    side = [0] * (n + 1)  # valid for v and its ancestors; node 1 fixed at 0
     found: list[Cut] = []
-
-    def assign(v: int, boundary: int, other_count: int) -> None:
-        if v > n:
-            if other_count:
-                found.append(
-                    Cut(
-                        side=frozenset(u for u in range(2, n + 1) if side[u]),
-                        capacity=boundary,
-                    )
-                )
-            return
-        for s in (0, 1):
-            side[v] = s
-            b = boundary + sum(c for u, c in nbrs[v] if u < v and side[u] != s)
-            count = other_count + s
-            if count:
-                if b >= lam:
+    stack = [(2, 1, 0, 0), (2, 0, 0, 0)] if n >= 2 else []
+    while stack:
+        v, s, boundary, count = stack.pop()
+        side[v] = s
+        b = boundary + sum(c for u, c in lower[v] if side[u] != s)
+        count += s
+        if count:
+            if b >= lam:
+                continue
+            if v < n:
+                starts = [(w, a) for u, w, a in crossing[v] if not side[u]]
+                if b + _flow_through_free(adj, head, cap, side, v, starts, lam - b) >= lam:
                     continue
-                if v < n:
-                    committed_other = frozenset(
-                        u for u in range(2, v + 1) if side[u]
-                    )
-                    committed_source = frozenset(
-                        u for u in range(1, v + 1) if not (u > 1 and side[u])
-                    )
-                    bound = _min_cut_value(g, committed_source, committed_other, lam)
-                    if bound >= lam:
-                        continue
-            assign(v + 1, b, count)
-
-    assign(2, 0, 0)
+        if v < n:
+            stack.append((v + 1, 1, b, count))
+            stack.append((v + 1, 0, b, count))
+        elif count:
+            found.append(
+                Cut(side=frozenset(u for u in range(2, n + 1) if side[u]), capacity=b)
+            )
     return CutFamily.collect(found, lam)
 
 

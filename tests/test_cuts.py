@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,31 @@ def small_graphs():
         ),
         st.integers(1, 6),
     ).map(build)
+
+
+@st.composite
+def multigraphs(draw, max_n=12):
+    """Connected capacitated multigraphs on at most ``max_n`` nodes: a chain
+    backbone, chords anywhere, chords spanning most of the chain, and repeated
+    edges, listed in random order."""
+    n = draw(st.integers(2, max_n))
+    cap = st.integers(1, 3)
+    edges = [(i, i + 1, draw(cap)) for i in range(1, n)]
+    for a, b, c in draw(
+        st.lists(st.tuples(st.integers(1, n), st.integers(1, n), cap), max_size=8)
+    ):
+        if a != b:
+            edges.append((min(a, b), max(a, b), c))
+    for a, b, c in draw(
+        st.lists(st.tuples(st.integers(1, 2), st.integers(0, 1), cap), max_size=3)
+    ):
+        if a < n - b:
+            edges.append((a, n - b, c))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    edges = draw(st.permutations(edges))
+    return CapGraph(
+        n=n, edges=tuple(Edge(*e) for e in edges), lam=draw(st.integers(1, 8))
+    )
 
 
 class TestCutCapacity:
@@ -128,11 +154,6 @@ class TestBruteForce:
         with pytest.raises(BruteForceSizeError, match="enumerate_flow"):
             enumerate_bruteforce(g)
 
-    def test_worker_split_same_result(self, inst6):
-        seq = enumerate_bruteforce(inst6.graph)
-        par = enumerate_bruteforce(inst6.graph, workers=4)
-        assert seq == par
-
     def test_triangle_below_threshold_is_empty(self):
         assert len(enumerate_bruteforce(triangle(lam=1))) == 0
 
@@ -171,6 +192,24 @@ class TestFlowEnumeration:
     def test_random_graphs_agree_with_bruteforce(self, g):
         assert enumerate_flow(g).sides() == enumerate_bruteforce(g).sides()
 
+    @given(multigraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_multigraphs_match_subset_scan_oracle(self, g):
+        fam = enumerate_flow(g)
+        assert {c.side: c.capacity for c in fam} == scan_small_cuts(g.n, g.edges, g.lam)
+
+    def test_deeper_than_the_recursion_limit(self):
+        n = 1100
+        limit = sys.getrecursionlimit()
+        assert limit < n
+        g = CapGraph(n=n, edges=tuple(Edge(i, i + 1, 3) for i in range(1, n)), lam=5)
+        fam = enumerate_flow(g)
+        assert sys.getrecursionlimit() == limit
+        assert len(fam) == n - 1
+        assert {c.side: c.capacity for c in fam} == {
+            frozenset(range(j, n + 1)): 3 for j in range(2, n + 1)
+        }
+
     def test_every_cut_bounds_a_separating_flow(self, inst4):
         fam = enumerate_flow(inst4.graph)
         for c in fam:
@@ -197,6 +236,16 @@ class TestMaxFlow:
         for t in range(2, 9):
             best = min(cap for side, cap in oracle.items() if t in side)
             assert max_flow(inst4.graph, {1}, {t}) == best
+
+    @given(multigraphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_subset_scan_min_over_separating_cuts(self, g, data):
+        others = list(range(2, g.n + 1))
+        t = data.draw(st.sets(st.sampled_from(others), min_size=1))
+        s = {1} | data.draw(st.sets(st.sampled_from(others)).map(lambda x: x - t))
+        every = scan_small_cuts(g.n, g.edges, sum(c for _, _, c in g.edges) + 1)
+        best = min(cap for side, cap in every.items() if t <= side and not s & side)
+        assert max_flow(g, s, t) == best
 
     def test_overlap_rejected(self, inst4):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 from smallcuts import cli
 from smallcuts.certify import verify_basic
 from smallcuts.construction import build_incidence_matrix, build_instance
-from smallcuts.cuts import enumerate_bruteforce
+from smallcuts.cuts import CutFamily, enumerate_bruteforce
 from smallcuts.formats import (
     dump_json,
     frac_str,
@@ -278,6 +278,18 @@ class TestCli:
         assert code == 1
         assert "is_basic" in capsys.readouterr().err
         assert json.loads(out.read_text())["is_basic"] is False
+
+    def test_empty_brute_family_fails_cleanly(self, tmp_path, monkeypatch, capsys):
+        # an empty family is legal and falsy; it must still be the one certified
+        monkeypatch.setattr(
+            cli, "enumerate_bruteforce", lambda g, max_nodes: CutFamily((), g.lam)
+        )
+        out = tmp_path / "cert.json"
+        code = cli.main(["verify", "-k", "4", "--strategy", "brute", "--out", str(out)])
+        assert code == 1
+        assert json.loads(out.read_text())["family_exact"] is False
+        err = capsys.readouterr().err
+        assert "family_exact" in err and "Traceback" not in err
 
     def test_unwritable_path(self, capsys):
         code = cli.main(["gen", "-k", "4", "--out", "/nonexistent-dir/x.json"])
