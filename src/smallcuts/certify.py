@@ -21,13 +21,7 @@ from .construction import (
     listed_small_cuts,
 )
 from .cuts import Cut, CutFamily, cut_capacity
-from .exactmath import (
-    IntMatrix,
-    det_bareiss,
-    rank,
-    row_combine,
-    row_divide_exact,
-)
+from .exactmath import IntMatrix, det_bareiss, rank, row_combine
 
 
 class CertificationError(Exception):
@@ -137,10 +131,12 @@ def matrix_consistent(inst: Instance, matrix: IntMatrix) -> bool:
 def verify_basic(inst: Instance, family: CutFamily) -> Certificate:
     """Certify that the instance's candidate point is a basic solution.
 
-    Sub-checks: every enumerated cut is covered with total at least 1 and
-    every listed cut exactly 1; every coordinate is strictly between its
-    bounds; the incidence matrix of the listed (tight) cuts has full rank m.
-    A feasible point whose tight constraints have rank m is a vertex.
+    Sub-checks: every listed cut is below the threshold and in the
+    enumerated family, so its row is a constraint of the LP; every
+    enumerated cut is covered with total at least 1 and every listed cut
+    exactly 1; every coordinate is strictly between its bounds; the
+    incidence matrix of the listed (tight) cuts has full rank m.  A feasible
+    point whose tight constraints have rank m is a vertex.
     """
     failures: list[str] = []
     caps = listed_capacity_table(inst)
@@ -165,12 +161,21 @@ def verify_basic(inst: Instance, family: CutFamily) -> Certificate:
         failures.append("bounds")
 
     a = build_incidence_matrix(inst)
-    rank_a = rank(a)
     det_a = det_bareiss(a)
+    # A nonzero integer determinant means full rank over Q; only a singular
+    # matrix is eliminated again, to report its exact rank.
+    rank_a = inst.m if det_a != 0 else rank(a)
     if rank_a != inst.m:
         failures.append(f"rank:{rank_a}!={inst.m}")
 
-    is_basic = feasible and tight and bounds_strict and rank_a == inst.m
+    is_basic = (
+        not fam.missing
+        and all(cap < lam for cap in caps.values())
+        and feasible
+        and tight
+        and bounds_strict
+        and rank_a == inst.m
+    )
     return Certificate(
         k=inst.k,
         family_exact=fam.ok,
@@ -296,33 +301,32 @@ def full_reduction(
     After the replay the top-left (k-1)x(k-1) block must equal the transpose
     of the path/interval circulant, the rest of the first k-1 rows must be
     zero, and the prefix-cut block over the last m-k+1 columns must be
-    lower-triangular with unit diagonal.  Every intermediate vector is
-    checked against its set-level prediction, so a single flipped entry in
-    any participating row aborts the replay.
+    lower-triangular with unit diagonal.  The replay ends by checking that
+    the circulant is nonsingular; with the block shape that gives rank m.
+    Every intermediate vector is checked against its set-level prediction,
+    so a single flipped entry in any participating row aborts the replay.
     """
-    work = build_incidence_matrix(inst) if matrix is None else matrix
+    a = build_incidence_matrix(inst) if matrix is None else matrix
     k, m = inst.k, inst.m
-    if work.rows != m or work.cols != m:
+    if a.rows != m or a.cols != m:
         raise ValueError(f"matrix must be {m}x{m}")
+    rows = a.to_rows()
     circulant = build_circulant(k)
     traces: list[ReductionTrace] = []
     for j in range(1, k):
-        row_idx = j - 1
         low, high = bracketing_prefixes(inst, j)
-        halved = reduce_qcut_row(inst, j, matrix=work)
-        work = row_combine(
-            work, row_idx, [(-1, _nested_row(inst, high)), (1, _nested_row(inst, low))]
-        )
-        work = row_divide_exact(work, row_idx, 2)
+        # Each step edits only interval row j-1, so the rows reduce_qcut_row
+        # reads are still those of ``a``.  It checked that the split is twice
+        # the indicator of ``halved``; halving it leaves that indicator.
+        halved = reduce_qcut_row(inst, j, matrix=a)
+        row = rows[j - 1] = _indicator(inst, halved)
         final, moves = push_to_source(inst, halved)
         for step in moves:
-            work = row_combine(
-                work,
-                row_idx,
-                [(-1, _nested_row(inst, step.sub_nested)),
-                 (1, _nested_row(inst, step.add_nested))],
-            )
-            if work.row(row_idx) != _indicator(inst, step.links):
+            sub = rows[_nested_row(inst, step.sub_nested)]
+            add = rows[_nested_row(inst, step.add_nested)]
+            for c in range(m):
+                row[c] += add[c] - sub[c]
+            if row != _indicator(inst, step.links):
                 raise CertificationError(
                     f"interval row {j}: replayed move does not match link set "
                     f"{sorted(step.links)}"
@@ -352,22 +356,21 @@ def full_reduction(
                 paths=paths,
             )
         )
-    top_left = work.block(0, k - 1, 0, k - 1)
-    if top_left != circulant.transpose():
+    if [row[: k - 1] for row in rows[: k - 1]] != circulant.transpose().to_rows():
         raise CertificationError("top-left block is not the transposed circulant")
-    top_right = work.block(0, k - 1, k - 1, m)
-    if any(x != 0 for x in top_right.entries):
+    if any(any(row[k - 1 :]) for row in rows[: k - 1]):
         raise CertificationError("top-right block is not zero")
-    lower_right = work.block(k - 1, m, k - 1, m)
-    for i in range(lower_right.rows):
-        if lower_right.at(i, i) != 1:
-            raise CertificationError(f"prefix block diagonal entry {i} is not one")
-        for j2 in range(i + 1, lower_right.cols):
-            if lower_right.at(i, j2) != 0:
-                raise CertificationError(
-                    f"prefix block entry ({i},{j2}) above the diagonal is non-zero"
-                )
-    return work, traces
+    for i in range(k - 1, m):
+        row = rows[i]
+        if row[i] != 1:
+            raise CertificationError(f"prefix block diagonal entry {i - k + 1} is not one")
+        if any(row[i + 1 :]):
+            raise CertificationError(
+                f"prefix block row {i - k + 1} is non-zero above the diagonal"
+            )
+    if rank(circulant) != k - 1:
+        raise CertificationError("circulant is singular, so the block shape does not give rank m")
+    return IntMatrix.from_rows(rows), traces
 
 
 def certify_instance(inst: Instance, family: CutFamily) -> Certificate:

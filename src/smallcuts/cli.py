@@ -180,11 +180,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ("strategies_agree", strategies_agree),
         ("probe_contained", probe_ok),
     ]
-    for name, ok in verdicts:
-        if not ok:
-            print(f"certification failed: {name}", file=sys.stderr)
-            return EXIT_CERTIFICATION_FAILURE
-    return EXIT_OK
+    failed = [name for name, ok in verdicts if not ok]
+    for name in failed:
+        print(f"certification failed: {name}", file=sys.stderr)
+    return EXIT_CERTIFICATION_FAILURE if failed else EXIT_OK
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:

@@ -1,5 +1,10 @@
 """Exact integer matrices with fraction-free elimination.
 
+One Bareiss elimination loop serves both kernels: it returns the rank and
+the determinant of a matrix together, and `rank` and `det_bareiss` each
+read one of the two.  `row_combine` is the single row operation the
+certificate's checks use on an `IntMatrix`.
+
 Every quantity that feeds a certification verdict is an arbitrary-precision
 integer or a `fractions.Fraction`; there is no floating point in this module.
 `Rat` is the rational scalar type used for coverage sums and solution
@@ -97,70 +102,54 @@ class IntMatrix:
         )
 
 
-def det_bareiss(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (one-step Bareiss) elimination.
+def _eliminate(m: IntMatrix) -> tuple[int, int]:
+    """Fraction-free (one-step Bareiss) elimination with column scan.
 
-    Intermediate entries are minors of the input, so every division below is
-    exact over the integers; nothing is rounded.
+    Returns ``(rank, det)``; ``det`` is 0 unless the matrix is square and of
+    full rank.  Intermediate entries are minors of the input, so every
+    division below is exact over the integers; nothing is rounded.  The last
+    pivot is the determinant of the row-permuted matrix, hence the sign of
+    the swaps.
     """
-    if not m.is_square:
-        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for p in range(n - 1):
-        if a[p][p] == 0:
-            for r in range(p + 1, n):
-                if a[r][p] != 0:
-                    a[p], a[r] = a[r], a[p]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[p][p]
-        for i in range(p + 1, n):
-            f = a[i][p]
-            row_i = a[i]
-            row_p = a[p]
-            for j in range(p + 1, n):
-                row_i[j] = (row_i[j] * pivot - f * row_p[j]) // prev
-            row_i[p] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def rank(m: IntMatrix) -> int:
-    """Rank over the rationals, via fraction-free elimination with column scan."""
     a = m.to_rows()
     nrows, ncols = m.rows, m.cols
+    sign = 1
     prev = 1
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                piv = i
-                break
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-        pivot = a[r][c]
+            sign = -sign
+        row_r = a[r]
+        pivot = row_r[c]
         for i in range(r + 1, nrows):
-            f = a[i][c]
             row_i = a[i]
-            row_r = a[r]
+            f = row_i[c]
+            if f == 0 and pivot == prev:
+                continue  # the update below would leave this row as it is
             for j in range(c + 1, ncols):
                 row_i[j] = (row_i[j] * pivot - f * row_r[j]) // prev
             row_i[c] = 0
         prev = pivot
         r += 1
-        if r == nrows:
-            break
-    return r
+    return r, (sign * prev if r == nrows == ncols else 0)
+
+
+def det_bareiss(m: IntMatrix) -> int:
+    """Exact determinant, by the shared fraction-free elimination."""
+    if not m.is_square:
+        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
+    return _eliminate(m)[1]
+
+
+def rank(m: IntMatrix) -> int:
+    """Rank over the rationals, by the shared fraction-free elimination."""
+    return _eliminate(m)[0]
 
 
 def row_combine(
@@ -180,18 +169,4 @@ def row_combine(
         src_row = m.row(src)
         for j in range(m.cols):
             new_row[j] += coeff * src_row[j]
-    return m.with_row(target, new_row)
-
-
-def row_divide_exact(m: IntMatrix, target: int, divisor: int) -> IntMatrix:
-    """Copy of ``m`` with row ``target`` divided by ``divisor``; every entry must divide."""
-    if divisor == 0:
-        raise ValueError("divisor must be non-zero")
-    old = m.row(target)
-    new_row = []
-    for j, x in enumerate(old):
-        q, rem = divmod(x, divisor)
-        if rem != 0:
-            raise ValueError(f"entry {x} at column {j} not divisible by {divisor}")
-        new_row.append(q)
     return m.with_row(target, new_row)

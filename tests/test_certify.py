@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from smallcuts import certify, exactmath
 from smallcuts.certify import (
     CertificationError,
     bracketing_prefixes,
@@ -25,7 +26,7 @@ from smallcuts.construction import (
 )
 from smallcuts.cuts import Cut, CutFamily, enumerate_bruteforce, enumerate_flow
 
-from oracles import rational_det, rational_solve_unique
+from oracles import rational_det, rational_rank, rational_solve_unique
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,35 @@ class TestVerifyBasic:
         cert = verify_basic(mutated, family4)
         assert not cert.is_basic
         assert not cert.bounds_strict
+
+    def test_empty_family_is_not_a_vertex(self, inst4):
+        # the listed rows are no LP constraints unless the family holds them
+        cert = verify_basic(inst4, CutFamily((), 5))
+        assert not cert.is_basic
+        assert len(cert.missing) == inst4.m
+
+    def test_listed_cut_at_threshold_is_not_a_vertex(self, inst4, family4):
+        # raising the first chain edge lifts prefix cut N_1 to the threshold
+        edges = list(inst4.graph.edges)
+        edges[0] = edges[0]._replace(cap=edges[0].cap + inst4.graph.lam)
+        heavy = dataclasses.replace(
+            inst4, graph=dataclasses.replace(inst4.graph, edges=tuple(edges))
+        )
+        cert = verify_basic(heavy, family4)
+        assert "capacity:N_1" in cert.failures
+        assert not cert.is_basic
+
+    def test_singular_matrix_reports_its_rank(self, inst4, family4):
+        # links 5 and 6 given the same endpoints: two equal columns
+        links = list(inst4.links)
+        links[5] = links[5]._replace(lo=links[4].lo, hi=links[4].hi)
+        degenerate = dataclasses.replace(inst4, links=tuple(links))
+        cert = verify_basic(degenerate, family4)
+        assert cert.det_a == 0
+        assert cert.rank_a == rational_rank(build_incidence_matrix(degenerate).to_rows())
+        assert cert.rank_a < degenerate.m
+        assert not cert.is_basic
+        assert f"rank:{cert.rank_a}!={degenerate.m}" in cert.failures
 
     def test_det_k4_matches_rational_oracle(self, inst4):
         a = build_incidence_matrix(inst4)
@@ -290,6 +320,12 @@ class TestFullReduction:
         with pytest.raises(CertificationError):
             full_reduction(inst4, matrix=a.with_row(5, row))
 
+    def test_singular_circulant_aborts(self, inst4, monkeypatch):
+        # the block shape gives rank m only with a nonsingular circulant
+        monkeypatch.setattr(certify, "rank", lambda mat: mat.rows - 1)
+        with pytest.raises(CertificationError):
+            full_reduction(inst4)
+
     def test_wrong_shape_rejected(self, inst4):
         with pytest.raises(ValueError):
             full_reduction(inst4, matrix=build_circulant(4))
@@ -310,3 +346,17 @@ def test_certify_instance_sets_reduction_flag(inst4, family4):
     cert = certify_instance(inst4, family4)
     assert cert.reduction_ok is True
     assert cert.is_basic
+
+
+def test_one_elimination_per_certificate(inst6, family6, monkeypatch):
+    shapes = []
+    eliminate = exactmath._eliminate
+
+    def counted(m):
+        shapes.append((m.rows, m.cols))
+        return eliminate(m)
+
+    monkeypatch.setattr(exactmath, "_eliminate", counted)
+    cert = certify_instance(inst6, family6)
+    assert cert.is_basic and cert.reduction_ok
+    assert sorted(shapes) == [(5, 5), (21, 21)]
