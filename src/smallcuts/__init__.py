@@ -55,7 +55,7 @@ from .cuts import (
     karger_probe,
     max_flow,
 )
-from .exactmath import IntMatrix, Rat, det_bareiss, rank, row_combine
+from .exactmath import IntMatrix, Rat, det_bareiss, rank
 
 __all__ = [
     "BruteForceSizeError",
@@ -99,7 +99,6 @@ __all__ = [
     "push_to_source",
     "rank",
     "reduce_qcut_row",
-    "row_combine",
     "verify_basic",
     "verify_family",
 ]

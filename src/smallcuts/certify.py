@@ -21,7 +21,7 @@ from .construction import (
     listed_small_cuts,
 )
 from .cuts import Cut, CutFamily, cut_capacity
-from .exactmath import IntMatrix, det_bareiss, rank, row_combine
+from .exactmath import IntMatrix, det_bareiss, rank
 
 
 class CertificationError(Exception):
@@ -128,7 +128,9 @@ def matrix_consistent(inst: Instance, matrix: IntMatrix) -> bool:
     return matrix == build_incidence_matrix(inst)
 
 
-def verify_basic(inst: Instance, family: CutFamily) -> Certificate:
+def verify_basic(
+    inst: Instance, family: CutFamily, matrix: IntMatrix | None = None
+) -> Certificate:
     """Certify that the instance's candidate point is a basic solution.
 
     Sub-checks: every listed cut is below the threshold and in the
@@ -136,7 +138,8 @@ def verify_basic(inst: Instance, family: CutFamily) -> Certificate:
     enumerated cut is covered with total at least 1 and every listed cut
     exactly 1; every coordinate is strictly between its bounds; the
     incidence matrix of the listed (tight) cuts has full rank m.  A feasible
-    point whose tight constraints have rank m is a vertex.
+    point whose tight constraints have rank m is a vertex.  ``matrix`` is
+    that incidence matrix when the caller has already built it.
     """
     failures: list[str] = []
     caps = listed_capacity_table(inst)
@@ -145,6 +148,8 @@ def verify_basic(inst: Instance, family: CutFamily) -> Certificate:
         if cap >= lam:
             failures.append(f"capacity:{label}")
     fam = verify_family(inst, family)
+    if fam.missing:
+        failures.append(f"family:missing={len(fam.missing)}")
 
     feasible = True
     for c in family:
@@ -160,7 +165,7 @@ def verify_basic(inst: Instance, family: CutFamily) -> Certificate:
     if not bounds_strict:
         failures.append("bounds")
 
-    a = build_incidence_matrix(inst)
+    a = build_incidence_matrix(inst) if matrix is None else matrix
     det_a = det_bareiss(a)
     # A nonzero integer determinant means full rank over Q; only a singular
     # matrix is eliminated again, to report its exact rank.
@@ -225,10 +230,12 @@ def reduce_qcut_row(inst: Instance, j: int, matrix: IntMatrix | None = None) -> 
     leave the interval downward.  Returns that link set."""
     a = build_incidence_matrix(inst) if matrix is None else matrix
     low, high = bracketing_prefixes(inst, j)
-    combined = row_combine(
-        a, j - 1, [(-1, _nested_row(inst, high)), (1, _nested_row(inst, low))]
-    )
-    vec = combined.row(j - 1)
+    vec = [
+        q - hi + lo
+        for q, hi, lo in zip(
+            a.row(j - 1), a.row(_nested_row(inst, high)), a.row(_nested_row(inst, low))
+        )
+    ]
     expected = inst.qcut_links(j) & inst.nested_cut_links(low)
     if vec != _indicator(inst, expected, factor=2):
         raise CertificationError(
@@ -375,9 +382,10 @@ def full_reduction(
 
 def certify_instance(inst: Instance, family: CutFamily) -> Certificate:
     """Full verdict bundle: basic-solution checks plus the reduction replay."""
-    cert = verify_basic(inst, family)
+    a = build_incidence_matrix(inst)
+    cert = verify_basic(inst, family, matrix=a)
     try:
-        full_reduction(inst)
+        full_reduction(inst, matrix=a)
         return cert.with_reduction(True)
     except CertificationError:
         return cert.with_reduction(False)

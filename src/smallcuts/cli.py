@@ -3,7 +3,8 @@
 Verbs: ``gen`` (instance JSON / DOT), ``verify`` (build, enumerate, certify,
 emit a certificate document), ``reduce`` (print the row-operation replay),
 ``export-lp`` (covering LP file).  Exit status: 0 on success, 1 when any
-certification verdict fails, 2 on usage errors.
+certification verdict fails, 2 on usage errors, among them an output path
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .certify import (
     full_reduction,
     verify_basic,
 )
-from .construction import build_instance, listed_small_cuts
+from .construction import build_incidence_matrix, build_instance, listed_small_cuts
 from .cuts import (
     BruteForceSizeError,
     enumerate_bruteforce,
@@ -135,10 +136,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         strategies_agree = families["brute"].sides() == families["flow"].sides()
     family = families["flow" if args.strategy == "flow" else "brute"]
 
-    cert = verify_basic(inst, family)
+    a = build_incidence_matrix(inst)
+    cert = verify_basic(inst, family, matrix=a)
     traces = None
     try:
-        _, traces = full_reduction(inst)
+        _, traces = full_reduction(inst, matrix=a)
         cert = cert.with_reduction(True)
     except CertificationError as exc:
         cert = cert.with_reduction(False)
@@ -245,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CERTIFICATION_FAILURE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION_FAILURE
+        return EXIT_USAGE
     return EXIT_USAGE
 
 

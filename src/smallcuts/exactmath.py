@@ -2,11 +2,13 @@
 
 One Bareiss elimination loop serves both kernels: it returns the rank and
 the determinant of a matrix together, and `rank` and `det_bareiss` each
-read one of the two.  `row_combine` is the single row operation the
-certificate's checks use on an `IntMatrix`.
+read one of the two.
 
-Every quantity that feeds a certification verdict is an arbitrary-precision
-integer or a `fractions.Fraction`; there is no floating point in this module.
+Every quantity that feeds a certification verdict is an exact integer or a
+`fractions.Fraction`; there is no floating point in this module.  The
+elimination holds its matrix as a numpy array of dtype int64 while a
+per-block bound shows that no product overflows, and of dtype `object`
+(Python ints) from the first block where it might; never a float dtype.
 `Rat` is the rational scalar type used for coverage sums and solution
 coordinates (stdlib Fraction already guarantees a positive, gcd-reduced
 denominator).
@@ -16,9 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 Rat = Fraction
+
+_INT64_MAX = 2**63 - 1
+_BLOCK = 32  # rows per array update, so no step makes a full-size temporary
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,10 @@ class IntMatrix:
         )
 
 
+def _abs_max(v: np.ndarray) -> int:
+    return max(int(v.max(initial=0)), -int(v.min(initial=0)))
+
+
 def _eliminate(m: IntMatrix) -> tuple[int, int]:
     """Fraction-free (one-step Bareiss) elimination with column scan.
 
@@ -110,31 +121,50 @@ def _eliminate(m: IntMatrix) -> tuple[int, int]:
     division below is exact over the integers; nothing is rounded.  The last
     pivot is the determinant of the row-permuted matrix, hence the sign of
     the swaps.
+
+    The rows below the pivot are updated by array statements, ``_BLOCK``
+    rows at a time, on an int64 array (``dtype=object`` from the start when
+    an input entry does not fit).  Before each block's update, the bound
+    ``max|x|*|pivot| + max|f|*max|y|`` on every product and difference the
+    update forms is computed in Python ints over that block; the first time
+    it exceeds ``_INT64_MAX``, the array becomes ``dtype=object`` and the
+    same statements carry on with Python ints.  Columns at or left of the
+    pivot column are never read again, so they are left as they are.
     """
-    a = m.to_rows()
     nrows, ncols = m.rows, m.cols
+    try:
+        a = np.array(m.entries, dtype=np.int64).reshape(nrows, ncols)
+    except OverflowError:
+        a = np.array(m.entries, dtype=object).reshape(nrows, ncols)
     sign = 1
     prev = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
+        nonzero = r + np.flatnonzero(a[r:, c])
+        if nonzero.size == 0:
             continue
+        piv = int(nonzero[0])
         if piv != r:
-            a[r], a[piv] = a[piv], a[r]
+            a[[r, piv]] = a[[piv, r]]
             sign = -sign
-        row_r = a[r]
-        pivot = row_r[c]
-        for i in range(r + 1, nrows):
-            row_i = a[i]
-            f = row_i[c]
-            if f == 0 and pivot == prev:
-                continue  # the update below would leave this row as it is
-            for j in range(c + 1, ncols):
-                row_i[j] = (row_i[j] * pivot - f * row_r[j]) // prev
-            row_i[c] = 0
+        pivot = int(a[r, c])
+        # A row with f == 0 is left as it is when pivot == prev.  After the
+        # swap, row piv holds the old row r, which was 0 in this column.
+        rows = nonzero[1:] if pivot == prev else np.arange(r + 1, nrows)
+        y = a[r, c + 1 :]
+        ymax = _abs_max(y)
+        for start in range(0, rows.size, _BLOCK):
+            block = rows[start : start + _BLOCK]
+            rest = a[block, c:]
+            x, f = rest[:, 1:], rest[:, :1]
+            if a.dtype != object and (
+                _abs_max(x) * abs(pivot) + _abs_max(f) * ymax > _INT64_MAX
+            ):
+                a = a.astype(object)
+                x, f, y = x.astype(object), f.astype(object), a[r, c + 1 :]
+            a[block, c + 1 :] = (x * pivot - f * y) // prev
         prev = pivot
         r += 1
     return r, (sign * prev if r == nrows == ncols else 0)
@@ -150,23 +180,3 @@ def det_bareiss(m: IntMatrix) -> int:
 def rank(m: IntMatrix) -> int:
     """Rank over the rationals, by the shared fraction-free elimination."""
     return _eliminate(m)[0]
-
-
-def row_combine(
-    m: IntMatrix, target: int, add: Iterable[tuple[int, int]]
-) -> IntMatrix:
-    """Copy of ``m`` with row ``target`` replaced by itself plus sum of coeff*row.
-
-    Source rows are taken from the original matrix, so ``add`` may mention the
-    target row itself.
-    """
-    if not 0 <= target < m.rows:
-        raise IndexError(f"target row {target} out of range")
-    new_row = m.row(target)
-    for coeff, src in add:
-        if not 0 <= src < m.rows:
-            raise IndexError(f"source row {src} out of range")
-        src_row = m.row(src)
-        for j in range(m.cols):
-            new_row[j] += coeff * src_row[j]
-    return m.with_row(target, new_row)

@@ -157,6 +157,7 @@ class TestVerifyBasic:
         cert = verify_basic(inst4, CutFamily((), 5))
         assert not cert.is_basic
         assert len(cert.missing) == inst4.m
+        assert cert.failures == (f"family:missing={inst4.m}",)
 
     def test_listed_cut_at_threshold_is_not_a_vertex(self, inst4, family4):
         # raising the first chain edge lifts prefix cut N_1 to the threshold

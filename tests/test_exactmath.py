@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallcuts.exactmath import IntMatrix, det_bareiss, rank, row_combine
+from smallcuts.construction import build_incidence_matrix, build_instance
+from smallcuts.exactmath import IntMatrix, det_bareiss, rank
 
 from oracles import cofactor_det, rational_rank
 
@@ -102,34 +103,82 @@ class TestRank:
         coeff = data.draw(st.sampled_from([-1, 1]))
         if src == target and coeff == -1:
             return  # cancels the row; rank may legitimately drop
-        assert rank(row_combine(m, target, [(coeff, src)])) == rank(m)
+        combined = [list(r) for r in rows]
+        combined[target] = [t + coeff * s for t, s in zip(rows[target], rows[src])]
+        assert rank(IntMatrix.from_rows(combined)) == rank(m)
 
 
-class TestRowCombine:
-    def test_subtract_row(self):
-        m = IntMatrix.from_rows([[1, 1], [1, 0]])
-        assert row_combine(m, 0, [(-1, 1)]) == IntMatrix.from_rows([[0, 1], [1, 0]])
+def wide_matrices(bits, square, max_n=8):
+    """Matrices up to ``max_n`` x ``max_n`` whose entries mix {-1, 0, 1} with
+    values up to +-2**bits.  Some get a last row that is the sum of two
+    others, so singular matrices with large entries are drawn too."""
+    entries = st.one_of(st.integers(-1, 1), st.integers(-(2**bits), 2**bits))
+    shapes = (
+        st.integers(1, max_n).map(lambda n: (n, n))
+        if square
+        else st.tuples(st.integers(1, max_n), st.integers(1, max_n))
+    )
 
-    def test_empty_add_is_identity(self):
-        m = IntMatrix.from_rows([[3, 4], [5, 6]])
-        assert row_combine(m, 0, []) == m
+    def draw(shape, dependent):
+        nrows, ncols = shape
+        summed = dependent and nrows >= 3
+        head = st.lists(
+            st.lists(entries, min_size=ncols, max_size=ncols),
+            min_size=nrows - summed,
+            max_size=nrows - summed,
+        )
+        if not summed:
+            return head
+        return head.map(lambda rows: rows + [[a + b for a, b in zip(rows[0], rows[1])]])
 
-    def test_original_unchanged(self):
-        m = IntMatrix.from_rows([[1, 1], [1, 0]])
-        row_combine(m, 0, [(-1, 1)])
-        assert m == IntMatrix.from_rows([[1, 1], [1, 0]])
+    return st.tuples(shapes, st.booleans()).flatmap(lambda args: draw(*args))
 
-    def test_index_out_of_range(self):
-        m = IntMatrix.identity(2)
-        with pytest.raises(IndexError):
-            row_combine(m, 5, [])
-        with pytest.raises(IndexError):
-            row_combine(m, 0, [(1, 7)])
 
-    def test_multiple_sources(self):
-        m = IntMatrix.from_rows([[0, 0], [1, 2], [10, 20]])
-        out = row_combine(m, 0, [(2, 1), (-1, 2)])
-        assert out.row(0) == [-8, -16]
+class TestMachineWordBound:
+    """The elimination runs on int64 arrays only while a bound shows that no
+    product overflows; past it, on Python ints.  Entries up to 2**40 start as
+    int64 and overflow it within a step or two; entries up to 2**70 start as
+    Python ints."""
+
+    @given(st.one_of(wide_matrices(40, square=True), wide_matrices(70, square=True)))
+    @settings(max_examples=100, deadline=None)
+    def test_det_agrees_with_cofactor_expansion(self, rows):
+        assert det_bareiss(IntMatrix.from_rows(rows)) == cofactor_det(rows)
+
+    @given(st.one_of(wide_matrices(40, square=False), wide_matrices(70, square=False)))
+    @settings(max_examples=200, deadline=None)
+    def test_rank_agrees_with_rational_elimination(self, rows):
+        assert rank(IntMatrix.from_rows(rows)) == rational_rank(rows)
+
+    def test_switch_to_python_ints_mid_elimination(self):
+        # Unit lower triangular times upper triangular with diagonal 2**8:
+        # the determinant is 2**64, which no int64 holds, while every entry
+        # is below 2**9, so the first step's products fit in int64.  The
+        # elimination starts on int64 and must leave it before its last
+        # pivot (it does so at the fourth of eight steps).
+        n = 8
+        lower = [[1 if j <= i else 0 for j in range(n)] for i in range(n)]
+        upper = [[2**8 if i == j else (j - i if j > i else 0) for j in range(n)] for i in range(n)]
+        rows = [
+            [sum(lower[i][t] * upper[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert max(abs(x) for r in rows for x in r) < 2**9
+        m = IntMatrix.from_rows(rows)
+        assert det_bareiss(m) == 2**64 == cofactor_det(rows)
+        assert rank(m) == n
+        singular = IntMatrix.from_rows(rows[:-1] + [[a - b for a, b in zip(rows[0], rows[1])]])
+        assert det_bareiss(singular) == 0
+        assert rank(singular) == n - 1
+
+    @pytest.mark.parametrize("k", [12, 16, 20, 24])
+    def test_incidence_matrix_closed_form(self, k):
+        # m = n + k - 2 links on n = 2 + k(k-1)/2 nodes; det A = k * 2**(k-2)
+        a = build_incidence_matrix(build_instance(k))
+        m = 2 + k * (k - 1) // 2 + k - 2
+        assert a.rows == a.cols == m
+        assert det_bareiss(a) == k * 2 ** (k - 2)
+        assert rank(a) == m
 
 
 class TestIntMatrix:

@@ -267,10 +267,10 @@ class TestCli:
         # force a failing verdict to check the exit-code contract
         real_verify = cli.verify_basic
 
-        def sabotaged(inst, family):
+        def sabotaged(inst, family, matrix=None):
             xs = list(inst.xstar)
             xs[0] = Fraction(1, 2)
-            return real_verify(dataclasses.replace(inst, xstar=tuple(xs)), family)
+            return real_verify(dataclasses.replace(inst, xstar=tuple(xs)), family, matrix)
 
         monkeypatch.setattr(cli, "verify_basic", sabotaged)
         out = tmp_path / "cert.json"
@@ -293,7 +293,8 @@ class TestCli:
 
     def test_unwritable_path(self, capsys):
         code = cli.main(["gen", "-k", "4", "--out", "/nonexistent-dir/x.json"])
-        assert code == 1
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_verify_doc_written_before_exit_check(self, tmp_path):
         # even a passing run writes the document
