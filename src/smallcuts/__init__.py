@@ -53,7 +53,6 @@ from .cuts import (
     enumerate_bruteforce,
     enumerate_flow,
     karger_probe,
-    max_flow,
 )
 from .exactmath import IntMatrix, Rat, det_bareiss, rank
 
@@ -94,7 +93,6 @@ __all__ = [
     "listed_capacity_table",
     "listed_small_cuts",
     "matrix_consistent",
-    "max_flow",
     "path_q_incidence",
     "push_to_source",
     "rank",

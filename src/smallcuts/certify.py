@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .construction import (
@@ -83,14 +84,21 @@ class Certificate:
         return replace(self, reduction_ok=ok)
 
 
+def _scaled_point(inst: Instance) -> tuple[list[int], int]:
+    """The candidate point as integer numerators over one common denominator."""
+    den = lcm(*(x.denominator for x in inst.xstar))
+    return [x.numerator * (den // x.denominator) for x in inst.xstar], den
+
+
+def _crossing_total(inst: Instance, nums: list[int], side: frozenset[int]) -> int:
+    return sum(nums[l.id - 1] for l in inst.links if (l.lo in side) != (l.hi in side))
+
+
 def coverage(inst: Instance, cut: Cut | Iterable[int]) -> Fraction:
     """Exact sum of the candidate point over the links crossing the cut."""
     side = cut.side if isinstance(cut, Cut) else frozenset(cut)
-    total = Fraction(0)
-    for l in inst.links:
-        if (l.lo in side) != (l.hi in side):
-            total += inst.xstar[l.id - 1]
-    return total
+    nums, den = _scaled_point(inst)
+    return Fraction(_crossing_total(inst, nums, side), den)
 
 
 def listed_capacity_table(inst: Instance) -> dict[str, int]:
@@ -151,14 +159,21 @@ def verify_basic(
     if fam.missing:
         failures.append(f"family:missing={len(fam.missing)}")
 
+    # Coverage as a numerator over ``den``, computed once per distinct side:
+    # covered at least once is ``>= den``, exactly once is ``== den``.
+    nums, den = _scaled_point(inst)
+    cover = {c.side: _crossing_total(inst, nums, c.side) for c in family}
     feasible = True
     for c in family:
-        if coverage(inst, c) < 1:
+        if cover[c.side] < den:
             feasible = False
             failures.append(f"coverage:{sorted(c.side)}")
     tight = True
     for label, side in listed_small_cuts(inst):
-        if coverage(inst, side) != 1:
+        total = cover.get(side)
+        if total is None:
+            total = _crossing_total(inst, nums, side)
+        if total != den:
             tight = False
             failures.append(f"tightness:{label}")
     bounds_strict = all(0 < x < 1 for x in inst.xstar)
@@ -327,7 +342,10 @@ def full_reduction(
         # the indicator of ``halved``; halving it leaves that indicator.
         halved = reduce_qcut_row(inst, j, matrix=a)
         row = rows[j - 1] = _indicator(inst, halved)
-        final, moves = push_to_source(inst, halved)
+        try:
+            final, moves = push_to_source(inst, halved)
+        except (ValueError, RuntimeError) as exc:
+            raise CertificationError(f"interval row {j}: {exc}") from exc
         for step in moves:
             sub = rows[_nested_row(inst, step.sub_nested)]
             add = rows[_nested_row(inst, step.add_nested)]

@@ -76,7 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="enumerate small cuts and certify")
     add_common(p_verify)
     p_verify.add_argument(
-        "--strategy", choices=["brute", "flow", "both"], default="brute"
+        "--strategy", choices=["brute", "flow", "both"], default="brute",
+        help="brute: exhaustive scan under --max-brute-nodes; flow: frontier "
+        "dynamic programme, for graphs of frontier width <= 16; both: run "
+        "the two and cross-check",
     )
     p_verify.add_argument(
         "--trials", type=int, default=None,

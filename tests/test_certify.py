@@ -2,6 +2,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smallcuts import certify, exactmath
 from smallcuts.certify import (
@@ -62,6 +64,22 @@ class TestCoverage:
     def test_accepts_cut_objects(self, inst4, family4):
         for c in family4:
             assert coverage(inst4, c) == 1
+
+    @given(
+        st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=12),
+            min_size=10,
+            max_size=10,
+        ),
+        st.sets(st.integers(2, 8), min_size=1, max_size=6),
+    )
+    def test_mixed_denominators_match_fraction_sum(self, inst4, xs, side):
+        inst = dataclasses.replace(inst4, xstar=tuple(xs))
+        expected = sum(
+            (x for l, x in zip(inst.links, xs) if (l.lo in side) != (l.hi in side)),
+            Fraction(0),
+        )
+        assert coverage(inst, side) == expected
 
     def test_every_prefix_cut_meets_all_paths(self, inst6):
         # each prefix cut holds exactly one link of each of the k paths
@@ -151,6 +169,13 @@ class TestVerifyBasic:
         cert = verify_basic(mutated, family4)
         assert not cert.is_basic
         assert not cert.bounds_strict
+
+    def test_uncovered_surplus_cut_is_infeasible(self, inst4, family4):
+        # {2} is crossed by links 1 and 5 only, so it is covered 2 * 1/4 < 1
+        extra = Cut(side=frozenset({2}), capacity=4)
+        cert = verify_basic(inst4, CutFamily(family4.cuts + (extra,), 5))
+        assert not cert.feasible and not cert.is_basic
+        assert "coverage:[2]" in cert.failures
 
     def test_empty_family_is_not_a_vertex(self, inst4):
         # the listed rows are no LP constraints unless the family holds them
@@ -330,6 +355,18 @@ class TestFullReduction:
     def test_wrong_shape_rejected(self, inst4):
         with pytest.raises(ValueError):
             full_reduction(inst4, matrix=build_circulant(4))
+
+    @pytest.mark.parametrize("error", (ValueError, RuntimeError))
+    def test_push_to_source_error_aborts(self, inst4, family4, monkeypatch, error):
+        # a bad instance may make the move loop raise; the replay stays total
+        def broken(inst, links):
+            raise error("no move from here")
+
+        monkeypatch.setattr(certify, "push_to_source", broken)
+        with pytest.raises(CertificationError, match="no move from here"):
+            full_reduction(inst4)
+        cert = certify_instance(inst4, family4)
+        assert cert.reduction_ok is False and cert.is_basic
 
 
 class TestMatrixConsistent:

@@ -13,7 +13,6 @@ from smallcuts.cuts import (
     enumerate_bruteforce,
     enumerate_flow,
     karger_probe,
-    max_flow,
 )
 
 from oracles import boundary_capacity, scan_small_cuts
@@ -210,50 +209,43 @@ class TestFlowEnumeration:
             frozenset(range(j, n + 1)): 3 for j in range(2, n + 1)
         }
 
-    def test_every_cut_bounds_a_separating_flow(self, inst4):
-        fam = enumerate_flow(inst4.graph)
-        for c in fam:
-            t = min(c.side)
-            assert c.capacity >= max_flow(inst4.graph, {1}, {t})
+    def test_single_node_has_no_cut(self):
+        assert len(enumerate_flow(CapGraph(n=1, edges=(), lam=5))) == 0
 
+    @pytest.mark.parametrize("lam, expected", ((5, {frozenset({2}): 4}), (4, {})))
+    def test_two_nodes_sum_parallel_edges(self, lam, expected):
+        g = CapGraph(n=2, edges=(Edge(1, 2, 1), Edge(1, 2, 3)), lam=lam)
+        assert {c.side: c.capacity for c in enumerate_flow(g)} == expected
 
-class TestMaxFlow:
-    def test_source_to_sink(self, inst4):
-        assert max_flow(inst4.graph, {1}, {8}) == 3
+    @pytest.mark.parametrize("lam", (1, 4, 6, 11))
+    def test_star_centred_on_the_last_node(self, lam):
+        # every leaf stays open until node 11: frontier width 10
+        edges = tuple(Edge(i, 11, 1 + i % 3) for i in range(1, 11))
+        g = CapGraph(n=11, edges=edges, lam=lam)
+        fam = enumerate_flow(g)
+        assert {c.side: c.capacity for c in fam} == scan_small_cuts(11, edges, lam)
 
-    def test_contracted_source_pair(self, inst4):
-        assert max_flow(inst4.graph, {1, 2}, {8}) == 3
+    @given(
+        st.lists(st.integers(1, 4), min_size=28, max_size=28),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_complete_graph_k8_matches_subset_scan_oracle(self, caps, lam):
+        pairs = [(a, b) for a in range(1, 9) for b in range(a + 1, 9)]
+        edges = tuple(Edge(a, b, c) for (a, b), c in zip(pairs, caps))
+        g = CapGraph(n=8, edges=edges, lam=lam)
+        fam = enumerate_flow(g)
+        assert {c.side: c.capacity for c in fam} == scan_small_cuts(8, edges, lam)
 
-    def test_forced_cut_when_sets_cover_all_nodes(self, inst4):
-        for side in ({8}, {7, 8}, {4, 5, 6, 7, 8}):
-            rest = set(range(1, 9)) - side
-            assert max_flow(inst4.graph, rest, side) == cut_capacity(
-                inst4.graph, side
-            )
+    def test_wide_star_exceeds_the_width_budget(self):
+        g = CapGraph(n=40, edges=tuple(Edge(i, 40, 1) for i in range(1, 40)), lam=5)
+        with pytest.raises(BruteForceSizeError, match="width 39"):
+            enumerate_flow(g)
 
-    def test_equals_bruteforce_min_over_separating_cuts(self, inst4):
-        oracle = scan_small_cuts(inst4.n, inst4.graph.edges, 10**9)
-        for t in range(2, 9):
-            best = min(cap for side, cap in oracle.items() if t in side)
-            assert max_flow(inst4.graph, {1}, {t}) == best
-
-    @given(multigraphs(), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_equals_subset_scan_min_over_separating_cuts(self, g, data):
-        others = list(range(2, g.n + 1))
-        t = data.draw(st.sets(st.sampled_from(others), min_size=1))
-        s = {1} | data.draw(st.sets(st.sampled_from(others)).map(lambda x: x - t))
-        every = scan_small_cuts(g.n, g.edges, sum(c for _, _, c in g.edges) + 1)
-        best = min(cap for side, cap in every.items() if t <= side and not s & side)
-        assert max_flow(g, s, t) == best
-
-    def test_overlap_rejected(self, inst4):
-        with pytest.raises(ValueError):
-            max_flow(inst4.graph, {1, 2}, {2, 3})
-
-    def test_empty_rejected(self, inst4):
-        with pytest.raises(ValueError):
-            max_flow(inst4.graph, set(), {3})
+    def test_k48_family_is_the_listed_one(self):
+        inst = build_instance(48)
+        listed = {side for _, side in listed_small_cuts(inst)}
+        assert enumerate_flow(inst.graph).sides() == listed
 
 
 class TestKargerProbe:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from smallcuts import cli
+from smallcuts import certify, cli, cuts
 from smallcuts.certify import verify_basic
 from smallcuts.construction import build_incidence_matrix, build_instance
 from smallcuts.cuts import CutFamily, enumerate_bruteforce
@@ -290,6 +290,23 @@ class TestCli:
         assert json.loads(out.read_text())["family_exact"] is False
         err = capsys.readouterr().err
         assert "family_exact" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("error", (ValueError, RuntimeError))
+    def test_replay_error_exits_one(self, tmp_path, monkeypatch, capsys, error):
+        def broken(inst, links):
+            raise error("no move from here")
+
+        monkeypatch.setattr(certify, "push_to_source", broken)
+        out = tmp_path / "cert.json"
+        assert cli.main(["verify", "-k", "4", "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["reduction_ok"] is False
+        err = capsys.readouterr().err
+        assert "no move from here" in err and "Traceback" not in err
+
+    def test_frontier_width_budget_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(cuts, "MAX_FRONTIER_WIDTH", 1)
+        assert cli.main(["verify", "-k", "4", "--strategy", "flow"]) == 2
+        assert "frontier width 2" in capsys.readouterr().err
 
     def test_unwritable_path(self, capsys):
         code = cli.main(["gen", "-k", "4", "--out", "/nonexistent-dir/x.json"])
