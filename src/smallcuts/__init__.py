@@ -18,7 +18,6 @@ from .certify import (
     ReductionTrace,
     bracketing_prefixes,
     certify_instance,
-    check_listed_capacities,
     coverage,
     full_reduction,
     listed_capacity_table,
@@ -80,7 +79,6 @@ __all__ = [
     "build_path_system",
     "canonical_cut",
     "certify_instance",
-    "check_listed_capacities",
     "coverage",
     "cut_capacity",
     "det_bareiss",

@@ -78,10 +78,16 @@ class Certificate:
     is_basic: bool
     max_coordinate: Fraction
     failures: tuple[str, ...] = ()
-    reduction_ok: bool | None = None
+    reduction_ok: bool | None = None  # None: no replay was run
+    traces: tuple[ReductionTrace, ...] = ()  # empty unless the replay succeeded
+    reduction_error: str | None = None  # why the replay failed
 
-    def with_reduction(self, ok: bool) -> "Certificate":
-        return replace(self, reduction_ok=ok)
+    @property
+    def false_verdicts(self) -> tuple[str, ...]:
+        """The verdicts that are not ``True``, in a fixed order; a
+        certificate without a replay names ``reduction_ok``."""
+        verdicts = ("is_basic", "family_exact", "reduction_ok")
+        return tuple(name for name in verdicts if getattr(self, name) is not True)
 
 
 def _scaled_point(inst: Instance) -> tuple[list[int], int]:
@@ -109,19 +115,6 @@ def listed_capacity_table(inst: Instance) -> dict[str, int]:
     }
 
 
-def check_listed_capacities(inst: Instance) -> dict[str, int]:
-    """Capacity table of the listed cuts; raises naming any cut that is not
-    below the threshold."""
-    table = listed_capacity_table(inst)
-    lam = inst.graph.lam
-    for label, cap in table.items():
-        if cap >= lam:
-            raise CertificationError(
-                f"listed cut {label} has capacity {cap}, not below {lam}"
-            )
-    return table
-
-
 def verify_family(inst: Instance, family: CutFamily) -> FamilyCheck:
     """Is the enumerated family exactly the listed prefix and interval cuts?"""
     listed = {side for _, side in listed_small_cuts(inst)}
@@ -146,8 +139,10 @@ def verify_basic(
     enumerated cut is covered with total at least 1 and every listed cut
     exactly 1; every coordinate is strictly between its bounds; the
     incidence matrix of the listed (tight) cuts has full rank m.  A feasible
-    point whose tight constraints have rank m is a vertex.  ``matrix`` is
-    that incidence matrix when the caller has already built it.
+    point whose tight constraints have rank m is a vertex.  Each failed
+    sub-check adds an entry to ``failures``, and ``is_basic`` holds exactly
+    when there is none.  ``matrix`` is that incidence matrix when the
+    caller has already built it.  No replay is run: ``reduction_ok`` is None.
     """
     failures: list[str] = []
     caps = listed_capacity_table(inst)
@@ -188,14 +183,6 @@ def verify_basic(
     if rank_a != inst.m:
         failures.append(f"rank:{rank_a}!={inst.m}")
 
-    is_basic = (
-        not fam.missing
-        and all(cap < lam for cap in caps.values())
-        and feasible
-        and tight
-        and bounds_strict
-        and rank_a == inst.m
-    )
     return Certificate(
         k=inst.k,
         family_exact=fam.ok,
@@ -208,7 +195,7 @@ def verify_basic(
         bounds_strict=bounds_strict,
         rank_a=rank_a,
         det_a=det_a,
-        is_basic=is_basic,
+        is_basic=not failures,
         max_coordinate=max(inst.xstar),
         failures=tuple(failures),
     )
@@ -399,11 +386,16 @@ def full_reduction(
 
 
 def certify_instance(inst: Instance, family: CutFamily) -> Certificate:
-    """Full verdict bundle: basic-solution checks plus the reduction replay."""
+    """Full verdict bundle: basic-solution checks plus the reduction replay.
+
+    The one code path that assembles a certificate, ``verify`` included.
+    ``A`` is built once for both.  A failed replay gives ``reduction_ok``
+    false, no traces and its message in ``reduction_error``.
+    """
     a = build_incidence_matrix(inst)
     cert = verify_basic(inst, family, matrix=a)
     try:
-        full_reduction(inst, matrix=a)
-        return cert.with_reduction(True)
-    except CertificationError:
-        return cert.with_reduction(False)
+        _, traces = full_reduction(inst, matrix=a)
+    except CertificationError as exc:
+        return replace(cert, reduction_ok=False, reduction_error=str(exc))
+    return replace(cert, reduction_ok=True, traces=tuple(traces))

@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Verbs: ``gen`` (instance JSON / DOT), ``verify`` (build, enumerate, certify,
-emit a certificate document), ``reduce`` (print the row-operation replay),
-``export-lp`` (covering LP file).  Exit status: 0 on success, 1 when any
-certification verdict fails, 2 on usage errors, among them an output path
-that cannot be written.
+Verbs: ``gen`` (instance JSON / DOT), ``verify`` (build, enumerate, run
+``certify.certify_instance``, emit a certificate document), ``reduce`` (print
+the row-operation replay), ``export-lp`` (covering LP file).  ``verify``
+assembles no verdict of its own: it adds only the cross-check of two
+strategies and the probe's containment to the certificate's false verdicts.
+Exit status: 0 on success, 1 when any certification verdict fails, 2 on
+usage errors, among them an output path that cannot be written and a
+``--trials`` below 1.
 """
 
 from __future__ import annotations
@@ -14,12 +17,8 @@ import sys
 import time
 
 from . import __version__
-from .certify import (
-    CertificationError,
-    full_reduction,
-    verify_basic,
-)
-from .construction import build_incidence_matrix, build_instance, listed_small_cuts
+from .certify import CertificationError, certify_instance, full_reduction
+from .construction import build_instance, listed_small_cuts
 from .cuts import (
     BruteForceSizeError,
     enumerate_bruteforce,
@@ -76,14 +75,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="enumerate small cuts and certify")
     add_common(p_verify)
     p_verify.add_argument(
-        "--strategy", choices=["brute", "flow", "both"], default="brute",
-        help="brute: exhaustive scan under --max-brute-nodes; flow: frontier "
-        "dynamic programme, for graphs of frontier width <= 16; both: run "
-        "the two and cross-check",
+        "--strategy", choices=["brute", "flow", "both"], default="flow",
+        help="flow (default): frontier dynamic programme, for graphs of "
+        "frontier width <= 16; brute: exhaustive scan under "
+        "--max-brute-nodes; both: run the two and cross-check",
     )
     p_verify.add_argument(
         "--trials", type=int, default=None,
-        help="also run a randomized contraction probe with this many trials",
+        help="also run a randomized contraction probe with this many "
+        "trials (at least 1)",
     )
     p_verify.add_argument("--seed", type=int, default=0, help="probe seed")
     p_verify.add_argument(
@@ -139,15 +139,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         strategies_agree = families["brute"].sides() == families["flow"].sides()
     family = families["flow" if args.strategy == "flow" else "brute"]
 
-    a = build_incidence_matrix(inst)
-    cert = verify_basic(inst, family, matrix=a)
-    traces = None
-    try:
-        _, traces = full_reduction(inst, matrix=a)
-        cert = cert.with_reduction(True)
-    except CertificationError as exc:
-        cert = cert.with_reduction(False)
-        print(f"reduction failed: {exc}", file=sys.stderr)
+    cert = certify_instance(inst, family)
+    if cert.reduction_error is not None:
+        print(f"reduction failed: {cert.reduction_error}", file=sys.stderr)
 
     probe_doc = None
     probe_ok = True
@@ -171,21 +165,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         elapsed_seconds=elapsed,
         lam=inst.graph.lam,
-        traces=traces if args.trace else None,
+        traces=cert.traces if args.trace else None,
         probe=probe_doc,
     )
     if args.strategy == "both":
         doc["strategies_agree"] = strategies_agree
     _write_output(dump_json(doc), args.out)
 
-    verdicts = [
-        ("is_basic", cert.is_basic),
-        ("family_exact", cert.family_exact),
-        ("reduction_ok", bool(cert.reduction_ok)),
-        ("strategies_agree", strategies_agree),
-        ("probe_contained", probe_ok),
-    ]
-    failed = [name for name, ok in verdicts if not ok]
+    failed = list(cert.false_verdicts)
+    if not strategies_agree:
+        failed.append("strategies_agree")
+    if not probe_ok:
+        failed.append("probe_contained")
     for name in failed:
         print(f"certification failed: {name}", file=sys.stderr)
     return EXIT_CERTIFICATION_FAILURE if failed else EXIT_OK
@@ -232,6 +223,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.k % 2 != 0 or args.k < 4:
         parser.error(f"k must be an even integer >= 4, got {args.k}")
+    if getattr(args, "trials", None) is not None and args.trials < 1:
+        parser.error(f"argument --trials: must be at least 1, got {args.trials}")
     try:
         if args.command == "gen":
             return _cmd_gen(args)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable
 
 from .certify import Certificate, ReductionTrace
 from .construction import (
@@ -142,7 +142,7 @@ def certificate_to_doc(
     strategy: str,
     elapsed_seconds: float,
     lam: int,
-    traces: list[ReductionTrace] | None = None,
+    traces: Iterable[ReductionTrace] | None = None,
     probe: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     doc: dict[str, Any] = {

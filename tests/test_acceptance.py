@@ -234,6 +234,7 @@ def test_criterion_8_mutation_suite():
             xs = list(inst.xstar)
             xs[idx] = wrong
             cert = verify_basic(dataclasses.replace(inst, xstar=tuple(xs)), family)
+            assert cert.is_basic == (not cert.failures), (k, idx, wrong)
             assert not cert.is_basic, (k, idx, wrong)
             assert not cert.tight or not cert.bounds_strict, (k, idx, wrong)
             detected["xstar"] += 1

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smallcuts import certify, exactmath
+from smallcuts import certify, cli, exactmath
 from smallcuts.certify import (
     CertificationError,
     bracketing_prefixes,
     certify_instance,
-    check_listed_capacities,
     coverage,
     full_reduction,
     listed_capacity_table,
@@ -100,17 +99,18 @@ class TestCapacityTable:
     @pytest.mark.parametrize("k", (4, 6, 8, 10))
     def test_all_below_threshold(self, k):
         inst = build_instance(k)
-        table = check_listed_capacities(inst)
+        table = listed_capacity_table(inst)
         assert set(table.values()) <= {3, 4}
         assert table["N_1"] == table[f"N_{inst.n - 1}"] == 3
         for j in range(1, k):
             assert table[f"Q_{j}"] == 4
 
-    def test_offending_cut_named(self, inst4):
+    def test_offending_cut_named(self, inst4, family4):
         bad_graph = dataclasses.replace(inst4.graph, lam=4)
         bad = dataclasses.replace(inst4, graph=bad_graph)
-        with pytest.raises(CertificationError, match="Q_1"):
-            check_listed_capacities(bad)
+        cert = verify_basic(bad, family4)
+        assert "capacity:Q_1" in cert.failures
+        assert not cert.is_basic
 
 
 class TestVerifyFamily:
@@ -141,6 +141,7 @@ class TestVerifyFamily:
 class TestVerifyBasic:
     def test_k4(self, inst4, family4):
         cert = verify_basic(inst4, family4)
+        assert cert.is_basic == (not cert.failures)
         assert cert.is_basic
         assert cert.rank_a == 10
         assert cert.max_coordinate == Fraction(1, 4)
@@ -149,6 +150,7 @@ class TestVerifyBasic:
 
     def test_k6(self, inst6, family6):
         cert = verify_basic(inst6, family6)
+        assert cert.is_basic == (not cert.failures)
         assert cert.is_basic
         assert cert.rank_a == 21
         assert cert.max_coordinate == Fraction(1, 6)
@@ -158,6 +160,7 @@ class TestVerifyBasic:
         xs[0] = Fraction(1, 2)
         mutated = dataclasses.replace(inst4, xstar=tuple(xs))
         cert = verify_basic(mutated, family4)
+        assert cert.is_basic == (not cert.failures)
         assert not cert.is_basic
         assert not cert.tight
         assert any(f.startswith("tightness:N_1") for f in cert.failures)
@@ -167,6 +170,7 @@ class TestVerifyBasic:
         xs[3] = Fraction(1)
         mutated = dataclasses.replace(inst4, xstar=tuple(xs))
         cert = verify_basic(mutated, family4)
+        assert cert.is_basic == (not cert.failures)
         assert not cert.is_basic
         assert not cert.bounds_strict
 
@@ -174,12 +178,14 @@ class TestVerifyBasic:
         # {2} is crossed by links 1 and 5 only, so it is covered 2 * 1/4 < 1
         extra = Cut(side=frozenset({2}), capacity=4)
         cert = verify_basic(inst4, CutFamily(family4.cuts + (extra,), 5))
+        assert cert.is_basic == (not cert.failures)
         assert not cert.feasible and not cert.is_basic
         assert "coverage:[2]" in cert.failures
 
     def test_empty_family_is_not_a_vertex(self, inst4):
         # the listed rows are no LP constraints unless the family holds them
         cert = verify_basic(inst4, CutFamily((), 5))
+        assert cert.is_basic == (not cert.failures)
         assert not cert.is_basic
         assert len(cert.missing) == inst4.m
         assert cert.failures == (f"family:missing={inst4.m}",)
@@ -192,6 +198,7 @@ class TestVerifyBasic:
             inst4, graph=dataclasses.replace(inst4.graph, edges=tuple(edges))
         )
         cert = verify_basic(heavy, family4)
+        assert cert.is_basic == (not cert.failures)
         assert "capacity:N_1" in cert.failures
         assert not cert.is_basic
 
@@ -201,6 +208,7 @@ class TestVerifyBasic:
         links[5] = links[5]._replace(lo=links[4].lo, hi=links[4].hi)
         degenerate = dataclasses.replace(inst4, links=tuple(links))
         cert = verify_basic(degenerate, family4)
+        assert cert.is_basic == (not cert.failures)
         assert cert.det_a == 0
         assert cert.rank_a == rational_rank(build_incidence_matrix(degenerate).to_rows())
         assert cert.rank_a < degenerate.m
@@ -367,6 +375,9 @@ class TestFullReduction:
             full_reduction(inst4)
         cert = certify_instance(inst4, family4)
         assert cert.reduction_ok is False and cert.is_basic
+        assert cert.traces == ()
+        assert "no move from here" in cert.reduction_error
+        assert cert.false_verdicts == ("reduction_ok",)
 
 
 class TestMatrixConsistent:
@@ -384,9 +395,19 @@ def test_certify_instance_sets_reduction_flag(inst4, family4):
     cert = certify_instance(inst4, family4)
     assert cert.reduction_ok is True
     assert cert.is_basic
+    assert cert.traces == tuple(full_reduction(inst4)[1])
+    assert cert.reduction_error is None
+    assert cert.false_verdicts == ()
 
 
-def test_one_elimination_per_certificate(inst6, family6, monkeypatch):
+def test_false_verdicts_without_replay(inst4, family4):
+    # verify_basic runs no replay, so reduction_ok is not yet true
+    assert verify_basic(inst4, family4).false_verdicts == ("reduction_ok",)
+    cert = verify_basic(inst4, CutFamily((), 5))
+    assert cert.false_verdicts == ("is_basic", "family_exact", "reduction_ok")
+
+
+def test_one_elimination_per_certificate(inst6, family6, monkeypatch, tmp_path):
     shapes = []
     eliminate = exactmath._eliminate
 
@@ -397,4 +418,8 @@ def test_one_elimination_per_certificate(inst6, family6, monkeypatch):
     monkeypatch.setattr(exactmath, "_eliminate", counted)
     cert = certify_instance(inst6, family6)
     assert cert.is_basic and cert.reduction_ok
+    assert sorted(shapes) == [(5, 5), (21, 21)]
+    shapes.clear()
+    out = tmp_path / "cert.json"
+    assert cli.main(["verify", "-k", "6", "--strategy", "flow", "--out", str(out)]) == 0
     assert sorted(shapes) == [(5, 5), (21, 21)]

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from smallcuts import certify, cli, cuts
-from smallcuts.certify import verify_basic
+from smallcuts import __version__, certify, cli, cuts
+from smallcuts.certify import certify_instance, verify_basic
 from smallcuts.construction import build_incidence_matrix, build_instance
-from smallcuts.cuts import CutFamily, enumerate_bruteforce
+from smallcuts.cuts import CutFamily, enumerate_bruteforce, enumerate_flow
 from smallcuts.formats import (
+    certificate_to_doc,
     dump_json,
     frac_str,
     instance_from_doc,
@@ -265,14 +266,14 @@ class TestCli:
 
     def test_certification_failure_exit(self, tmp_path, monkeypatch, capsys):
         # force a failing verdict to check the exit-code contract
-        real_verify = cli.verify_basic
+        real_verify = certify.verify_basic
 
         def sabotaged(inst, family, matrix=None):
             xs = list(inst.xstar)
             xs[0] = Fraction(1, 2)
             return real_verify(dataclasses.replace(inst, xstar=tuple(xs)), family, matrix)
 
-        monkeypatch.setattr(cli, "verify_basic", sabotaged)
+        monkeypatch.setattr(certify, "verify_basic", sabotaged)
         out = tmp_path / "cert.json"
         code = cli.main(["verify", "-k", "4", "--out", str(out)])
         assert code == 1
@@ -312,6 +313,40 @@ class TestCli:
         code = cli.main(["gen", "-k", "4", "--out", "/nonexistent-dir/x.json"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_default_strategy_is_flow(self, tmp_path):
+        out = tmp_path / "cert.json"
+        assert cli.main(["verify", "-k", "8", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["strategy"] == "flow"
+        assert doc["family_size"] == 36
+
+    @pytest.mark.parametrize("trials", ("0", "-5"))
+    def test_trials_below_one_usage_error(self, capsys, trials):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "-k", "4", "--trials", trials])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--trials" in err and "at least 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("k", (4, 6, 8))
+    def test_verify_doc_is_the_library_certificate(self, tmp_path, k):
+        # verify assembles no verdict of its own: its document is the one
+        # certify_instance gives for the same family
+        out = tmp_path / "cert.json"
+        argv = ["verify", "-k", str(k), "--strategy", "flow", "--trace", "--out", str(out)]
+        assert cli.main(argv) == 0
+        doc = json.loads(out.read_text())
+        inst = build_instance(k)
+        cert = certify_instance(inst, enumerate_flow(inst.graph))
+        want = certificate_to_doc(
+            cert, tool_version=__version__, strategy="flow",
+            elapsed_seconds=0.0, lam=inst.graph.lam, traces=cert.traces,
+        )
+        assert len(want["traces"]) == k - 1
+        doc.pop("elapsed_seconds"), want.pop("elapsed_seconds")
+        assert doc == json.loads(dump_json(want))
 
     def test_verify_doc_written_before_exit_check(self, tmp_path):
         # even a passing run writes the document
