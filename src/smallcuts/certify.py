@@ -19,9 +19,11 @@ from .construction import (
     Instance,
     build_circulant,
     build_incidence_matrix,
+    listed_crossings,
+    listed_labels,
     listed_small_cuts,
 )
-from .cuts import Cut, CutFamily, cut_capacity
+from .cuts import Cut, CutFamily
 from .exactmath import IntMatrix, det_bareiss, rank
 
 
@@ -109,18 +111,24 @@ def coverage(inst: Instance, cut: Cut | Iterable[int]) -> Fraction:
 
 def listed_capacity_table(inst: Instance) -> dict[str, int]:
     """Capacities of all n-1 prefix cuts and k-1 interval cuts, by label."""
+    edges = inst.graph.edges
+    rows = listed_crossings(inst, ((e.lo, e.hi) for e in edges))
     return {
-        label: cut_capacity(inst.graph, side)
-        for label, side in listed_small_cuts(inst)
+        label: sum(edges[pos].cap for pos in row)
+        for label, row in zip(listed_labels(inst), rows)
     }
 
 
 def verify_family(inst: Instance, family: CutFamily) -> FamilyCheck:
     """Is the enumerated family exactly the listed prefix and interval cuts?"""
-    listed = {side for _, side in listed_small_cuts(inst)}
+    return _family_check(listed_small_cuts(inst), family)
+
+
+def _family_check(listed: list[tuple[str, frozenset[int]]], family: CutFamily) -> FamilyCheck:
+    sides = {side for _, side in listed}
     enumerated = family.sides()
-    missing = tuple(sorted(listed - enumerated, key=sorted))
-    surplus = tuple(sorted(enumerated - listed, key=sorted))
+    missing = tuple(sorted(sides - enumerated, key=sorted))
+    surplus = tuple(sorted(enumerated - sides, key=sorted))
     return FamilyCheck(ok=not missing and not surplus, missing=missing, surplus=surplus)
 
 
@@ -150,27 +158,29 @@ def verify_basic(
     for label, cap in caps.items():
         if cap >= lam:
             failures.append(f"capacity:{label}")
-    fam = verify_family(inst, family)
+    listed = listed_small_cuts(inst)
+    fam = _family_check(listed, family)
     if fam.missing:
         failures.append(f"family:missing={len(fam.missing)}")
 
-    # Coverage as a numerator over ``den``, computed once per distinct side:
-    # covered at least once is ``>= den``, exactly once is ``== den``.
+    # Coverage as a numerator over ``den``: covered at least once is
+    # ``>= den``, exactly once is ``== den``.  A listed row sums the point
+    # over its own links; only a surplus cut is tested link by link.
     nums, den = _scaled_point(inst)
-    cover = {c.side: _crossing_total(inst, nums, c.side) for c in family}
+    totals = [sum(nums[f - 1] for f in links) for links in inst.cut_links]
+    short = {side for (_, side), total in zip(listed, totals) if total < den}
+    short.update(s for s in fam.surplus if _crossing_total(inst, nums, s) < den)
     feasible = True
     for c in family:
-        if cover[c.side] < den:
+        if c.side in short:
             feasible = False
             failures.append(f"coverage:{sorted(c.side)}")
     tight = True
-    for label, side in listed_small_cuts(inst):
-        total = cover.get(side)
-        if total is None:
-            total = _crossing_total(inst, nums, side)
+    for (label, _), total in zip(listed, totals):
         if total != den:
             tight = False
             failures.append(f"tightness:{label}")
+    del listed  # about n^2/2 set entries; not held through the elimination
     bounds_strict = all(0 < x < 1 for x in inst.xstar)
     if not bounds_strict:
         failures.append("bounds")
@@ -319,23 +329,23 @@ def full_reduction(
     k, m = inst.k, inst.m
     if a.rows != m or a.cols != m:
         raise ValueError(f"matrix must be {m}x{m}")
-    rows = a.to_rows()
     circulant = build_circulant(k)
+    qrows: list[list[int]] = []  # edited interval rows; prefix rows are read from ``a``
     traces: list[ReductionTrace] = []
     for j in range(1, k):
         low, high = bracketing_prefixes(inst, j)
-        # Each step edits only interval row j-1, so the rows reduce_qcut_row
-        # reads are still those of ``a``.  It checked that the split is twice
-        # the indicator of ``halved``; halving it leaves that indicator.
+        # reduce_qcut_row checked that the split is twice the indicator of
+        # ``halved``; halving it leaves that indicator.
         halved = reduce_qcut_row(inst, j, matrix=a)
-        row = rows[j - 1] = _indicator(inst, halved)
+        row = _indicator(inst, halved)
+        qrows.append(row)
         try:
             final, moves = push_to_source(inst, halved)
         except (ValueError, RuntimeError) as exc:
             raise CertificationError(f"interval row {j}: {exc}") from exc
         for step in moves:
-            sub = rows[_nested_row(inst, step.sub_nested)]
-            add = rows[_nested_row(inst, step.add_nested)]
+            sub = a.row(_nested_row(inst, step.sub_nested))
+            add = a.row(_nested_row(inst, step.add_nested))
             for c in range(m):
                 row[c] += add[c] - sub[c]
             if row != _indicator(inst, step.links):
@@ -368,21 +378,22 @@ def full_reduction(
                 paths=paths,
             )
         )
-    if [row[: k - 1] for row in rows[: k - 1]] != circulant.transpose().to_rows():
+    if [row[: k - 1] for row in qrows] != circulant.transpose().to_rows():
         raise CertificationError("top-left block is not the transposed circulant")
-    if any(any(row[k - 1 :]) for row in rows[: k - 1]):
+    if any(any(row[k - 1 :]) for row in qrows):
         raise CertificationError("top-right block is not zero")
+    entries = a.entries
     for i in range(k - 1, m):
-        row = rows[i]
-        if row[i] != 1:
+        if entries[i * m + i] != 1:
             raise CertificationError(f"prefix block diagonal entry {i - k + 1} is not one")
-        if any(row[i + 1 :]):
+        if any(entries[i * m + i + 1 : (i + 1) * m]):
             raise CertificationError(
                 f"prefix block row {i - k + 1} is non-zero above the diagonal"
             )
     if rank(circulant) != k - 1:
         raise CertificationError("circulant is singular, so the block shape does not give rank m")
-    return IntMatrix.from_rows(rows), traces
+    reduced = tuple(x for row in qrows for x in row) + entries[(k - 1) * m :]
+    return IntMatrix(m, m, reduced), traces
 
 
 def certify_instance(inst: Instance, family: CutFamily) -> Certificate:

@@ -7,14 +7,18 @@ node-disjoint source-sink paths, the candidate point assigning 1/k to every
 link, and the 0/1 incidence matrices used by the certification code.
 
 Node indices are 1-based throughout; node 1 is the source s, node n the sink
-t. Edges and links are stored with lo < hi.
+t. Built instances store edges and links with lo < hi; an instance document
+may list an edge's ends in either order.  ``listed_crossings``, the one
+statement of which pairs cross the listed cuts, and all three cut
+enumerators accept both orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 from .exactmath import IntMatrix
 
@@ -88,20 +92,24 @@ class Instance:
         """Link by its 1-based id."""
         return self.links[link_id - 1]
 
+    @cached_property
+    def cut_links(self) -> tuple[frozenset[int], ...]:
+        """Ids of the links crossing each listed cut, in incidence-row order;
+        computed once per object (``dataclasses.replace`` makes a new one)."""
+        rows = listed_crossings(self, ((l.lo, l.hi) for l in self.links))
+        return tuple(frozenset(self.links[p].id for p in row) for row in rows)
+
     def nested_cut_links(self, i: int) -> frozenset[int]:
         """Ids of links crossing the prefix cut {1..i} | {i+1..n}."""
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"nested index {i} out of range 1..{self.n - 1}")
-        return frozenset(l.id for l in self.links if l.lo <= i < l.hi)
+        return self.cut_links[self.k - 2 + i]
 
     def qcut_links(self, j: int) -> frozenset[int]:
         """Ids of links with exactly one endpoint in interval j."""
-        q = self.qsets[j - 1]
-        return frozenset(
-            l.id
-            for l in self.links
-            if (q.first <= l.lo <= q.last) != (q.first <= l.hi <= q.last)
-        )
+        if not 1 <= j <= self.k - 1:
+            raise ValueError(f"interval index {j} out of range 1..{self.k - 1}")
+        return self.cut_links[j - 1]
 
     def nested_side(self, i: int) -> frozenset[int]:
         """Canonical side (excluding node 1) of the i-th prefix cut."""
@@ -277,6 +285,10 @@ def validate_instance(inst: Instance) -> None:
         raise ValueError("node or link count mismatch")
     if len(inst.graph.edges) != (n - 1) + (k - 1):
         raise ValueError("edge count mismatch")
+    for kind, items in (("edge", inst.graph.edges), ("link", inst.links)):
+        for item in items:
+            if not (1 <= item.lo <= n and 1 <= item.hi <= n):
+                raise ValueError(f"{kind} {list(item)} has an endpoint outside 1..{n}")
     covered = sorted(v for q in inst.qsets for v in range(q.first, q.last + 1))
     if covered != list(range(2, n)):
         raise ValueError("intervals do not partition the internal nodes")
@@ -308,37 +320,52 @@ def validate_instance(inst: Instance) -> None:
             raise ValueError("forward link indexing broken")
     if inst.links[k - 1][:3] != (k, 1, n):
         raise ValueError("link k must join source and sink")
+    if any(ell.id != f for f, ell in enumerate(inst.links, start=1)):
+        raise ValueError("links are not listed in id order")
 
 
 def build_incidence_matrix(inst: Instance) -> IntMatrix:
-    """m x m cut/link incidence matrix: interval-cut rows, then prefix-cut rows.
-
-    Column order is link id; a link (lo, hi) crosses prefix cut i iff
-    lo <= i < hi, and crosses an interval cut iff exactly one endpoint lies
-    inside the interval.
-    """
-    k, n, m = inst.k, inst.n, inst.m
-    rows: list[list[int]] = []
-    for j in range(1, k):
-        q = inst.qsets[j - 1]
-        row = [
-            1 if (q.first <= l.lo <= q.last) != (q.first <= l.hi <= q.last) else 0
-            for l in inst.links
-        ]
-        rows.append(row)
-    for i in range(1, n):
-        rows.append([1 if l.lo <= i < l.hi else 0 for l in inst.links])
-    mat = IntMatrix.from_rows(rows)
+    """m x m cut/link incidence matrix: interval-cut rows, then prefix-cut
+    rows, each the indicator of ``inst.cut_links``; column order is link id."""
+    m, rows = inst.m, inst.cut_links
+    entries = [0] * (len(rows) * m)
+    for r, links in enumerate(rows):
+        for f in links:
+            entries[r * m + f - 1] = 1
+    mat = IntMatrix(len(rows), m, tuple(entries))
     assert mat.rows == mat.cols == m
     return mat
+
+
+def listed_crossings(inst: Instance, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """For each listed cut, in incidence-row order Q_1..Q_{k-1}, N_1..N_{n-1},
+    the positions of the pairs that cross it: the one crossing rule for the
+    listed cuts.  A pair (a, b) with ends in 1..n, in either order, crosses
+    the prefix cuts min..max-1 and the intervals holding exactly one end."""
+    k, n = inst.k, inst.n
+    interval = [0] * (n + 1)  # node -> index of its interval, 0 for s and t
+    for j, q in enumerate(inst.qsets, start=1):
+        interval[q.first : q.last + 1] = [j] * (q.last - q.first + 1)
+    rows: list[list[int]] = [[] for _ in range(k + n - 2)]
+    for pos, (a, b) in enumerate(pairs):
+        lo, hi = min(a, b), max(a, b)
+        for i in range(lo, hi):
+            rows[k - 2 + i].append(pos)
+        if interval[lo] != interval[hi]:
+            for j in (interval[lo], interval[hi]):
+                if j:
+                    rows[j - 1].append(pos)
+    return rows
+
+
+def listed_labels(inst: Instance) -> list[str]:
+    """Labels of the listed cuts in incidence-row order."""
+    return [f"Q_{j}" for j in range(1, inst.k)] + [f"N_{i}" for i in range(1, inst.n)]
 
 
 def listed_small_cuts(inst: Instance) -> list[tuple[str, frozenset[int]]]:
     """The labelled family of record: canonical sides of every prefix and
     interval cut, in row order Q_1..Q_{k-1}, N_1..N_{n-1}."""
-    out: list[tuple[str, frozenset[int]]] = []
-    for j in range(1, inst.k):
-        out.append((f"Q_{j}", inst.qset_side(j)))
-    for i in range(1, inst.n):
-        out.append((f"N_{i}", inst.nested_side(i)))
-    return out
+    sides = [inst.qset_side(j) for j in range(1, inst.k)]
+    sides += [inst.nested_side(i) for i in range(1, inst.n)]
+    return list(zip(listed_labels(inst), sides))

@@ -121,6 +121,9 @@ def _scan_masks(g: CapGraph, lo: int, hi: int) -> list[tuple[int, int]]:
     acc = np.zeros(masks.shape, dtype=np.int64)
     one = np.uint64(1)
     for a, b, c in g.edges:
+        a, b = min(a, b), max(a, b)
+        if a == b:
+            continue
         if a == 1:
             bits = (masks >> np.uint64(b - 2)) & one
         else:

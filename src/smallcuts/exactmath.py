@@ -101,13 +101,6 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __str__(self) -> str:
-        width = max((len(str(x)) for x in self.entries), default=1)
-        return "\n".join(
-            " ".join(str(self.at(i, j)).rjust(width) for j in range(self.cols))
-            for i in range(self.rows)
-        )
-
 
 def _abs_max(v: np.ndarray) -> int:
     return max(int(v.max(initial=0)), -int(v.min(initial=0)))

@@ -20,7 +20,7 @@ from .construction import (
     Link,
     PathSystem,
     QSet,
-    listed_small_cuts,
+    listed_labels,
     validate_instance,
 )
 
@@ -63,18 +63,19 @@ def _paths_from_links(k: int, n: int, links: tuple[Link, ...]) -> PathSystem:
     forward = {l.lo: l for l in links if l.lo != 1}
     paths = []
     for i in range(1, k + 1):
-        seq = [1]
-        cur = by_id[i].hi
-        while cur != n:
-            seq.append(cur)
-            nxt = forward[cur]
+        seq, nxt = [1], by_id.get(i)
+        while seq[-1] != n:
+            if nxt is None or nxt.hi <= seq[-1]:
+                raise ValueError(f"path {i} stops at node {seq[-1]}: no link to a higher node")
             if nxt.path != i:
                 raise ValueError(f"link chain of path {i} crosses into path {nxt.path}")
-            cur = nxt.hi
-        seq.append(n)
+            seq.append(nxt.hi)
+            nxt = forward.get(nxt.hi)
         paths.append(tuple(seq))
     owner = {v: i for i, seq in enumerate(paths, start=1) for v in seq[1:-1]}
     half = k // 2
+    if not set(range(2, n)) <= owner.keys():
+        raise ValueError("some internal node lies on no path")
     assignment = {
         j: {owner[v]: v for v in range(2 + (j - 1) * half, 2 + j * half)}
         for j in range(1, k)
@@ -193,11 +194,8 @@ def write_lp(inst: Instance) -> str:
     objective = " + ".join(f"x_{f}" for f in range(1, m + 1))
     lines.append(f"min: {objective};")
     lines.append("")
-    for label, side in listed_small_cuts(inst):
-        ids = sorted(
-            l.id for l in inst.links if (l.lo in side) != (l.hi in side)
-        )
-        terms = " + ".join(f"x_{f}" for f in ids)
+    for label, links in zip(listed_labels(inst), inst.cut_links):
+        terms = " + ".join(f"x_{f}" for f in sorted(links))
         lines.append(f"cut_{label}: {terms} >= 1;")
     lines.append("")
     for f in range(1, m + 1):

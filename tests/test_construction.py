@@ -1,5 +1,8 @@
+import ast
+import dataclasses
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +19,11 @@ from smallcuts.construction import (
     node_count,
     path_q_incidence,
 )
+from smallcuts.certify import listed_capacity_table
+from smallcuts.cuts import cut_capacity
 from smallcuts.exactmath import IntMatrix, det_bareiss, rank
 
+import oracles
 from oracles import rational_rank
 
 SUPPORTED_K = (4, 6, 8, 10, 12)
@@ -221,14 +227,38 @@ class TestIncidenceMatrix:
         assert rank(a) == rational_rank(a.to_rows()) == 21
 
     def test_generic_crossing_agrees_with_row_rules(self):
-        # the row-specific rules and the membership-xor rule must coincide
-        inst = build_instance(6)
-        a = build_incidence_matrix(inst)
-        for row, (label, side) in zip(a.to_rows(), listed_small_cuts(inst)):
-            expect = [
-                1 if (l.lo in side) != (l.hi in side) else 0 for l in inst.links
-            ]
-            assert row == expect, label
+        # The listed-cut sweep behind the matrix rows and the capacity table
+        # must coincide with the membership-xor rule; also on a replaced
+        # instance with reversed and moved links and edges, built after the
+        # original's table was read, so a stale table or a slip in
+        # orientation fails.
+        for k in (4, 6, 8, 10):
+            inst = build_instance(k)
+            a = build_incidence_matrix(inst)
+            moved = dataclasses.replace(
+                inst,
+                links=tuple(
+                    l._replace(lo=l.hi, hi=l.lo) if l.id % 2 else l._replace(hi=l.hi - 1)
+                    for l in inst.links
+                ),
+                graph=dataclasses.replace(
+                    inst.graph,
+                    edges=tuple(
+                        e._replace(lo=e.hi, hi=e.lo) if i % 2 else e._replace(lo=e.lo + 1)
+                        for i, e in enumerate(inst.graph.edges)
+                    ),
+                ),
+            )
+            assert build_incidence_matrix(moved) != a
+            for case in (inst, moved):
+                rows = build_incidence_matrix(case).to_rows()
+                caps = listed_capacity_table(case)
+                for row, (label, side) in zip(rows, listed_small_cuts(case)):
+                    expect = [
+                        1 if (l.lo in side) != (l.hi in side) else 0 for l in case.links
+                    ]
+                    assert row == expect, (k, label)
+                    assert caps[label] == cut_capacity(case.graph, side), (k, label)
 
 
 def test_listed_small_cuts_labels():
@@ -236,6 +266,19 @@ def test_listed_small_cuts_labels():
     labels = [label for label, _ in listed_small_cuts(inst)]
     assert labels == ["Q_1", "Q_2", "Q_3"] + [f"N_{i}" for i in range(1, 8)]
     assert len(labels) == inst.m
+
+
+def test_oracles_import_nothing_from_the_package():
+    # agreement with the oracles means something only while they share no code
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    imported += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "smallcuts"]
+    assert not [
+        name
+        for name, value in vars(oracles).items()
+        if (getattr(value, "__module__", None) or "").startswith("smallcuts")
+    ]
 
 
 def test_counts_formulas():

@@ -61,22 +61,23 @@ def small_graphs():
 @st.composite
 def multigraphs(draw, max_n=12):
     """Connected capacitated multigraphs on at most ``max_n`` nodes: a chain
-    backbone, chords anywhere, chords spanning most of the chain, and repeated
-    edges, listed in random order."""
+    backbone, chords anywhere (self-loops included), chords spanning most of
+    the chain, and repeated edges, listed in random order with either end
+    first."""
     n = draw(st.integers(2, max_n))
     cap = st.integers(1, 3)
     edges = [(i, i + 1, draw(cap)) for i in range(1, n)]
-    for a, b, c in draw(
+    edges += draw(
         st.lists(st.tuples(st.integers(1, n), st.integers(1, n), cap), max_size=8)
-    ):
-        if a != b:
-            edges.append((min(a, b), max(a, b), c))
+    )
     for a, b, c in draw(
         st.lists(st.tuples(st.integers(1, 2), st.integers(0, 1), cap), max_size=3)
     ):
         if a < n - b:
             edges.append((a, n - b, c))
     edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [(b, a, c) if flip else (a, b, c) for (a, b, c), flip in zip(edges, flips)]
     edges = draw(st.permutations(edges))
     return CapGraph(
         n=n, edges=tuple(Edge(*e) for e in edges), lam=draw(st.integers(1, 8))
@@ -194,8 +195,9 @@ class TestFlowEnumeration:
     @given(multigraphs())
     @settings(max_examples=150, deadline=None)
     def test_multigraphs_match_subset_scan_oracle(self, g):
-        fam = enumerate_flow(g)
-        assert {c.side: c.capacity for c in fam} == scan_small_cuts(g.n, g.edges, g.lam)
+        oracle = scan_small_cuts(g.n, g.edges, g.lam)
+        for fam in (enumerate_flow(g), enumerate_bruteforce(g)):
+            assert {c.side: c.capacity for c in fam} == oracle
 
     def test_deeper_than_the_recursion_limit(self):
         n = 1100

@@ -108,10 +108,21 @@ class TestInstanceDoc:
             instance_from_doc(doc)
 
     def test_tampered_doc_rejected(self):
-        doc = instance_to_doc(build_instance(4))
-        doc["links"][0] = [1, 1, 3, 1]  # wrong target for source link of path 1
-        with pytest.raises(ValueError):
-            instance_from_doc(doc)
+        tamperings = (
+            ("links", {0: [1, 1, 3, 1]}, "crosses into path"),  # wrong target, source link of path 1
+            ("links", {6: [7, 4, 2, 1]}, "no link to a higher node"),  # the walk 2 -> 4 -> 2 cycles
+            ("links", {4: [5, 2, 0, 1]}, "no link to a higher node"),  # node 0 does not exist
+            ("links", {1: [2, 1, 8, 2]}, "lies on no path"),
+            ("links", {5: [7, 4, 8, 1], 6: [6, 3, 7, 3]}, "id order"),  # links 6 and 7 swapped
+            ("edges", {-1: [3, 99, 1]}, r"edge \[3, 99, 1\] has an endpoint outside 1\.\.8"),
+            ("edges", {-1: [0, 3, 1]}, r"edge \[0, 3, 1\] has an endpoint outside 1\.\.8"),
+        )
+        for key, edits, message in tamperings:
+            doc = instance_to_doc(build_instance(4))
+            for index, value in edits.items():
+                doc[key][index] = value
+            with pytest.raises(ValueError, match=message):
+                instance_from_doc(doc)
 
 
 # --- LP export ---------------------------------------------------------------
