@@ -2,10 +2,13 @@
 
 Checks, in exact arithmetic, everything the construction promises: the
 listed cuts are small, an exact enumeration finds nothing else, the uniform
-point covers every listed cut tightly with no tight variable bound, the
-cut/link incidence matrix has full rank (so the point is a vertex of the LP),
-and the interval-cut rows reduce by explicit row operations to path
-indicator rows (an executable replay of the rank argument).
+point covers every listed cut tightly with no tight variable bound, and the
+cut/link incidence matrix has full rank (so the point is a vertex of the LP).
+The rank is proved by an executable replay of the rank argument: explicit
+row operations reduce the interval-cut rows to path indicator rows, which
+also gives the determinant from that of the (k-1) x (k-1) circulant.  The
+m x m Bareiss elimination runs only in ``verify_basic``, for callers without
+a replay, and after a replay fails.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .construction import (
     build_incidence_matrix,
     listed_crossings,
     listed_labels,
-    listed_small_cuts,
 )
 from .cuts import Cut, CutFamily
 from .exactmath import IntMatrix, det_bareiss, rank
@@ -121,14 +123,38 @@ def listed_capacity_table(inst: Instance) -> dict[str, int]:
 
 def verify_family(inst: Instance, family: CutFamily) -> FamilyCheck:
     """Is the enumerated family exactly the listed prefix and interval cuts?"""
-    return _family_check(listed_small_cuts(inst), family)
+    return _family_check(inst, family, _listed_rows(inst, family))
 
 
-def _family_check(listed: list[tuple[str, frozenset[int]]], family: CutFamily) -> FamilyCheck:
-    sides = {side for _, side in listed}
-    enumerated = family.sides()
-    missing = tuple(sorted(sides - enumerated, key=sorted))
-    surplus = tuple(sorted(enumerated - sides, key=sorted))
+def _listed_rows(inst: Instance, family: CutFamily) -> list[int | None]:
+    """For each cut of the family, in order, the incidence row of the listed
+    cut with the same side, or None.  A listed side is recognised by its
+    shape, a run lo..hi of nodes: ``hi = n`` with ``lo >= 2`` is prefix cut
+    N_{lo-1}, and an interval's (first, last) is that interval's cut."""
+    k, n = inst.k, inst.n
+    qrow = {(q.first, q.last): j for j, q in enumerate(inst.qsets)}
+    rows: list[int | None] = []
+    for c in family:
+        side, row = c.side, None
+        if side:
+            lo, hi = min(side), max(side)
+            if hi - lo + 1 == len(side):
+                row = k - 3 + lo if hi == n and lo >= 2 else qrow.get((lo, hi))
+        rows.append(row)
+    return rows
+
+
+def _family_check(inst: Instance, family: CutFamily, rows: list[int | None]) -> FamilyCheck:
+    # Sides are built only for the listed cuts the family misses.
+    k, found = inst.k, set(rows)
+    missing_sides = {
+        inst.qset_side(r + 1) if r < k - 1 else inst.nested_side(r - k + 2)
+        for r in range(k + inst.n - 2)
+        if r not in found
+    }
+    surplus_sides = {c.side for c, r in zip(family, rows) if r is None}
+    missing = tuple(sorted(missing_sides, key=sorted))
+    surplus = tuple(sorted(surplus_sides, key=sorted))
     return FamilyCheck(ok=not missing and not surplus, missing=missing, surplus=surplus)
 
 
@@ -150,16 +176,33 @@ def verify_basic(
     point whose tight constraints have rank m is a vertex.  Each failed
     sub-check adds an entry to ``failures``, and ``is_basic`` holds exactly
     when there is none.  ``matrix`` is that incidence matrix when the
-    caller has already built it.  No replay is run: ``reduction_ok`` is None.
+    caller has already built it.
+
+    Rank and determinant come from a Bareiss elimination of the m x m
+    matrix: this is the path for callers without a replay, and the path
+    ``certify_instance`` takes when its replay fails.  No replay is run
+    here: ``reduction_ok`` is None.
     """
+    a = build_incidence_matrix(inst) if matrix is None else matrix
+    det_a = det_bareiss(a)
+    # A nonzero integer determinant means full rank over Q; only a singular
+    # matrix is eliminated again, to report its exact rank.
+    rank_a = inst.m if det_a != 0 else rank(a)
+    return _certificate(inst, family, rank_a, det_a)
+
+
+def _certificate(inst: Instance, family: CutFamily, rank_a: int, det_a: int) -> Certificate:
+    """Assemble the certificate from every check but the elimination:
+    ``rank_a`` and ``det_a`` come from the caller, which proved them by a
+    Bareiss elimination or by the replay."""
     failures: list[str] = []
     caps = listed_capacity_table(inst)
     lam = inst.graph.lam
     for label, cap in caps.items():
         if cap >= lam:
             failures.append(f"capacity:{label}")
-    listed = listed_small_cuts(inst)
-    fam = _family_check(listed, family)
+    rows = _listed_rows(inst, family)
+    fam = _family_check(inst, family, rows)
     if fam.missing:
         failures.append(f"family:missing={len(fam.missing)}")
 
@@ -168,28 +211,20 @@ def verify_basic(
     # over its own links; only a surplus cut is tested link by link.
     nums, den = _scaled_point(inst)
     totals = [sum(nums[f - 1] for f in links) for links in inst.cut_links]
-    short = {side for (_, side), total in zip(listed, totals) if total < den}
-    short.update(s for s in fam.surplus if _crossing_total(inst, nums, s) < den)
     feasible = True
-    for c in family:
-        if c.side in short:
+    for c, r in zip(family, rows):
+        total = _crossing_total(inst, nums, c.side) if r is None else totals[r]
+        if total < den:
             feasible = False
             failures.append(f"coverage:{sorted(c.side)}")
     tight = True
-    for (label, _), total in zip(listed, totals):
+    for label, total in zip(listed_labels(inst), totals):
         if total != den:
             tight = False
             failures.append(f"tightness:{label}")
-    del listed  # about n^2/2 set entries; not held through the elimination
     bounds_strict = all(0 < x < 1 for x in inst.xstar)
     if not bounds_strict:
         failures.append("bounds")
-
-    a = build_incidence_matrix(inst) if matrix is None else matrix
-    det_a = det_bareiss(a)
-    # A nonzero integer determinant means full rank over Q; only a singular
-    # matrix is eliminated again, to report its exact rank.
-    rank_a = inst.m if det_a != 0 else rank(a)
     if rank_a != inst.m:
         failures.append(f"rank:{rank_a}!={inst.m}")
 
@@ -400,13 +435,22 @@ def certify_instance(inst: Instance, family: CutFamily) -> Certificate:
     """Full verdict bundle: basic-solution checks plus the reduction replay.
 
     The one code path that assembles a certificate, ``verify`` included.
-    ``A`` is built once for both.  A failed replay gives ``reduction_ok``
-    false, no traces and its message in ``reduction_error``.
+    ``A`` is built once and the replay runs first.  A replay that succeeds
+    proves ``rank A = m``: it only adds and subtracts rows and makes k-1
+    exact halvings, and it checks the final shape ``[[C^T, 0], [*, L]]``
+    with ``L`` unit lower triangular and the circulant ``C`` nonsingular.
+    So ``det A = 2^(k-1) det C``, and no m x m elimination is run.  A failed
+    replay gives ``reduction_ok`` false, no traces and its message in
+    ``reduction_error``; ``verify_basic`` then eliminates ``A`` to report
+    its exact rank.
     """
     a = build_incidence_matrix(inst)
-    cert = verify_basic(inst, family, matrix=a)
     try:
-        _, traces = full_reduction(inst, matrix=a)
+        traces = full_reduction(inst, matrix=a)[1]
     except CertificationError as exc:
+        cert = verify_basic(inst, family, matrix=a)
         return replace(cert, reduction_ok=False, reduction_error=str(exc))
+    del a  # neither A nor the reduced matrix is held through the checks
+    det_a = 2 ** (inst.k - 1) * det_bareiss(build_circulant(inst.k))
+    cert = _certificate(inst, family, inst.m, det_a)
     return replace(cert, reduction_ok=True, traces=tuple(traces))

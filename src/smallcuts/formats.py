@@ -86,6 +86,9 @@ def _paths_from_links(k: int, n: int, links: tuple[Link, ...]) -> PathSystem:
 def instance_from_doc(doc: dict[str, Any]) -> Instance:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    for key in ("k", "n", "m", "lambda", "edges", "qsets", "links", "xstar"):
+        if key not in doc:
+            raise ValueError(f"instance document has no {key!r} key")
     k = int(doc["k"])
     n = int(doc["n"])
     graph = CapGraph(

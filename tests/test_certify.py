@@ -26,6 +26,7 @@ from smallcuts.construction import (
     listed_small_cuts,
 )
 from smallcuts.cuts import Cut, CutFamily, enumerate_bruteforce, enumerate_flow
+from smallcuts.exactmath import det_bareiss
 
 from oracles import rational_det, rational_rank, rational_solve_unique
 
@@ -137,6 +138,35 @@ class TestVerifyFamily:
         assert not check
         assert check.surplus == (frozenset({5}),)
 
+    @pytest.mark.parametrize("k", (4, 6))
+    @given(data=st.data())
+    def test_matches_plain_set_comparison(self, k, data):
+        # listed cuts are found by side shape; runs near a listed shape and
+        # sides holding node 1 must still compare as plain sets do
+        inst = build_instance(k)
+        n = inst.n
+        listed = [side for _, side in listed_small_cuts(inst)]
+        chosen = data.draw(st.lists(st.sampled_from(listed), unique=True))
+        ends = st.tuples(st.integers(1, n), st.integers(1, n))
+        runs = data.draw(st.lists(ends.map(lambda e: frozenset(range(min(e), max(e) + 1)))))
+        scattered = data.draw(st.lists(st.frozensets(st.integers(1, n))))
+        sides = data.draw(st.permutations(chosen + runs + scattered))
+        family = CutFamily(tuple(Cut(side=s, capacity=0) for s in sides), inst.graph.lam)
+
+        missing = tuple(sorted(set(listed) - set(sides), key=sorted))
+        surplus = tuple(sorted(set(sides) - set(listed), key=sorted))
+        check = verify_family(inst, family)
+        assert (check.missing, check.surplus) == (missing, surplus)
+        assert check.ok == (not missing and not surplus)
+
+        failures = [f"family:missing={len(missing)}"] if missing else []
+        for s in sides:
+            crossing = [l for l in inst.links if (l.lo in s) != (l.hi in s)]
+            if sum((inst.xstar[l.id - 1] for l in crossing), Fraction(0)) < 1:
+                failures.append(f"coverage:{sorted(s)}")
+        cert = verify_basic(inst, family)
+        assert (cert.missing, cert.surplus, cert.failures) == (missing, surplus, tuple(failures))
+
 
 class TestVerifyBasic:
     def test_k4(self, inst4, family4):
@@ -214,6 +244,18 @@ class TestVerifyBasic:
         assert cert.rank_a < degenerate.m
         assert not cert.is_basic
         assert f"rank:{cert.rank_a}!={degenerate.m}" in cert.failures
+        # the replay fails on it, and the fallback elimination gives the same
+        full = certify_instance(degenerate, family4)
+        assert full.reduction_ok is False and full.reduction_error
+        assert (full.det_a, full.rank_a, full.failures) == (0, cert.rank_a, cert.failures)
+
+    @pytest.mark.parametrize("k", (4, 6, 8, 10, 12))
+    def test_replay_determinant_matches_bareiss(self, k):
+        inst = build_instance(k)
+        family = enumerate_flow(inst.graph)
+        cert = certify_instance(inst, family)
+        assert cert.reduction_ok and cert.rank_a == inst.m
+        assert cert.det_a == det_bareiss(build_incidence_matrix(inst)) == k * 2 ** (k - 2)
 
     def test_det_k4_matches_rational_oracle(self, inst4):
         a = build_incidence_matrix(inst4)
@@ -354,6 +396,32 @@ class TestFullReduction:
         with pytest.raises(CertificationError):
             full_reduction(inst4, matrix=a.with_row(5, row))
 
+    @pytest.mark.parametrize("k", (4, 6))
+    def test_flipped_unread_prefix_row(self, k):
+        # Rows no split or move reads are checked by the block shape alone:
+        # a flip on or above the diagonal aborts the replay, while a flip
+        # below it leaves a matrix whose determinant the replay still gives.
+        inst = build_instance(k)
+        a = build_incidence_matrix(inst)
+        _, traces = full_reduction(inst, matrix=a)
+        read = {i for t in traces for i in (t.add_nested, t.sub_nested)}
+        read |= {i for t in traces for s in t.moves for i in (s.add_nested, s.sub_nested)}
+        unread = [i for i in range(1, inst.n) if i not in read]
+        assert unread
+        for i in unread:
+            r = k - 2 + i
+            flips = [(r, "diagonal")] + [(c, "above the diagonal") for c in range(r + 1, inst.m)]
+            for c, message in flips:
+                row = a.row(r)
+                row[c] ^= 1
+                with pytest.raises(CertificationError, match=message):
+                    full_reduction(inst, matrix=a.with_row(r, row))
+            row = a.row(r)
+            row[r - 1] ^= 1
+            flipped = a.with_row(r, row)
+            full_reduction(inst, matrix=flipped)
+            assert det_bareiss(flipped) == 2 ** (k - 1) * det_bareiss(build_circulant(k))
+
     def test_singular_circulant_aborts(self, inst4, monkeypatch):
         # the block shape gives rank m only with a nonsingular circulant
         monkeypatch.setattr(certify, "rank", lambda mat: mat.rows - 1)
@@ -373,11 +441,23 @@ class TestFullReduction:
         monkeypatch.setattr(certify, "push_to_source", broken)
         with pytest.raises(CertificationError, match="no move from here"):
             full_reduction(inst4)
+        shapes = []
+        eliminate = exactmath._eliminate
+
+        def counted(m):
+            shapes.append((m.rows, m.cols))
+            return eliminate(m)
+
+        monkeypatch.setattr(exactmath, "_eliminate", counted)
         cert = certify_instance(inst4, family4)
         assert cert.reduction_ok is False and cert.is_basic
         assert cert.traces == ()
         assert "no move from here" in cert.reduction_error
         assert cert.false_verdicts == ("reduction_ok",)
+        # the replay proved nothing, so A itself is eliminated, once
+        assert shapes.count((inst4.m, inst4.m)) == 1
+        assert cert.rank_a == inst4.m
+        assert cert.det_a == rational_det(build_incidence_matrix(inst4).to_rows()) == 16
 
 
 class TestMatrixConsistent:
@@ -418,8 +498,9 @@ def test_one_elimination_per_certificate(inst6, family6, monkeypatch, tmp_path):
     monkeypatch.setattr(exactmath, "_eliminate", counted)
     cert = certify_instance(inst6, family6)
     assert cert.is_basic and cert.reduction_ok
-    assert sorted(shapes) == [(5, 5), (21, 21)]
+    # the circulant's rank in the replay and its determinant; no 21 x 21
+    assert shapes == [(5, 5), (5, 5)]
     shapes.clear()
     out = tmp_path / "cert.json"
     assert cli.main(["verify", "-k", "6", "--strategy", "flow", "--out", str(out)]) == 0
-    assert sorted(shapes) == [(5, 5), (21, 21)]
+    assert shapes == [(5, 5), (5, 5)]

@@ -123,6 +123,11 @@ class TestInstanceDoc:
                 doc[key][index] = value
             with pytest.raises(ValueError, match=message):
                 instance_from_doc(doc)
+        for key in ("k", "n", "m", "lambda", "edges", "qsets", "links", "xstar"):
+            doc = instance_to_doc(build_instance(4))
+            del doc[key]
+            with pytest.raises(ValueError, match=f"no '{key}' key"):
+                instance_from_doc(doc)
 
 
 # --- LP export ---------------------------------------------------------------
@@ -277,14 +282,15 @@ class TestCli:
 
     def test_certification_failure_exit(self, tmp_path, monkeypatch, capsys):
         # force a failing verdict to check the exit-code contract
-        real_verify = certify.verify_basic
+        real_build = cli.build_instance
 
-        def sabotaged(inst, family, matrix=None):
+        def sabotaged(k):
+            inst = real_build(k)
             xs = list(inst.xstar)
             xs[0] = Fraction(1, 2)
-            return real_verify(dataclasses.replace(inst, xstar=tuple(xs)), family, matrix)
+            return dataclasses.replace(inst, xstar=tuple(xs))
 
-        monkeypatch.setattr(certify, "verify_basic", sabotaged)
+        monkeypatch.setattr(cli, "build_instance", sabotaged)
         out = tmp_path / "cert.json"
         code = cli.main(["verify", "-k", "4", "--out", str(out)])
         assert code == 1
