@@ -7,8 +7,10 @@ cut/link incidence matrix has full rank (so the point is a vertex of the LP).
 The rank is proved by an executable replay of the rank argument: explicit
 row operations reduce the interval-cut rows to path indicator rows, which
 also gives the determinant from that of the (k-1) x (k-1) circulant.  The
-m x m Bareiss elimination runs only in ``verify_basic``, for callers without
-a replay, and after a replay fails.
+replay works on sparse rows, the link sets of ``Instance.cut_links``, in
+O(k) per row operation.  The dense m x m matrix ``A`` is built, and
+eliminated by Bareiss, only in ``verify_basic``: for callers without a
+replay, and after a replay fails.
 """
 
 from __future__ import annotations
@@ -264,30 +266,47 @@ def _nested_row(inst: Instance, i: int) -> int:
     return (inst.k - 1) + (i - 1)
 
 
-def _indicator(inst: Instance, links: frozenset[int], factor: int = 1) -> list[int]:
-    row = [0] * inst.m
-    for l in links:
-        row[l - 1] = factor
-    return row
+Row = dict[int, int]  # link id -> nonzero entry of one incidence row
 
 
-def reduce_qcut_row(inst: Instance, j: int, matrix: IntMatrix | None = None) -> frozenset[int]:
-    """Split interval row j: subtracting the covering prefix row and adding
-    the disjoint prefix row leaves twice the indicator of the k/2 links that
-    leave the interval downward.  Returns that link set."""
-    a = build_incidence_matrix(inst) if matrix is None else matrix
-    low, high = bracketing_prefixes(inst, j)
-    vec = [
-        q - hi + lo
-        for q, hi, lo in zip(
-            a.row(j - 1), a.row(_nested_row(inst, high)), a.row(_nested_row(inst, low))
-        )
+def _sparse_rows(inst: Instance, matrix: IntMatrix | None) -> list[Row]:
+    """The incidence rows as maps from link id to nonzero entry: the
+    indicators of ``inst.cut_links``, or the rows of ``matrix`` read once
+    after its shape is checked."""
+    m = inst.m
+    if matrix is None:
+        return [dict.fromkeys(links, 1) for links in inst.cut_links]
+    if matrix.rows != m or matrix.cols != m:
+        raise ValueError(f"matrix must be {m}x{m}")
+    entries = matrix.entries
+    return [
+        {c + 1: x for c, x in enumerate(entries[r * m : (r + 1) * m]) if x}
+        for r in range(m)
     ]
+
+
+def _sub_add(row: Row, sub: Row, add: Row) -> Row:
+    """``row - sub + add``; a zero entry drops its key, so equal maps are
+    equal rows."""
+    out = dict(row)
+    for sign, other in ((-1, sub), (1, add)):
+        for l, x in other.items():
+            v = out.get(l, 0) + sign * x
+            if v:
+                out[l] = v
+            else:
+                del out[l]
+    return out
+
+
+def _split(inst: Instance, j: int, rows: list[Row]) -> frozenset[int]:
+    low, high = bracketing_prefixes(inst, j)
+    vec = _sub_add(rows[j - 1], rows[_nested_row(inst, high)], rows[_nested_row(inst, low)])
     expected = inst.qcut_links(j) & inst.nested_cut_links(low)
-    if vec != _indicator(inst, expected, factor=2):
+    if vec != dict.fromkeys(expected, 2):
         raise CertificationError(
             f"interval row {j}: difference vector is not twice the indicator "
-            f"of {sorted(expected)} (got {vec})"
+            f"of {sorted(expected)} (got {sorted(vec.items())})"
         )
     if len(expected) != inst.k // 2:
         raise CertificationError(
@@ -295,7 +314,15 @@ def reduce_qcut_row(inst: Instance, j: int, matrix: IntMatrix | None = None) -> 
         )
     if inst.k in expected:
         raise CertificationError("source-sink link cannot leave an interval cut")
-    return frozenset(expected)
+    return expected
+
+
+def reduce_qcut_row(inst: Instance, j: int, matrix: IntMatrix | None = None) -> frozenset[int]:
+    """Split interval row j: subtracting the covering prefix row and adding
+    the disjoint prefix row leaves twice the indicator of the k/2 links that
+    leave the interval downward.  Returns that link set.  The rows are those
+    of ``matrix`` when given, else the instance's incidence rows."""
+    return _split(inst, j, _sparse_rows(inst, matrix))
 
 
 def push_to_source(
@@ -307,10 +334,11 @@ def push_to_source(
     contained in some prefix cut.  Each step swaps the link set for its
     complement within two prefix cuts, preserving the set of paths touched
     and strictly decreasing the containing prefix index; the loop ends when
-    all links are incident to node 1.
+    all links are incident to node 1.  The returned link set is that of the
+    last step, or ``links`` when no step is needed.
     """
     current = frozenset(links)
-    k = inst.k
+    k, by_id, cut_links = inst.k, inst.links, inst.cut_links
     if len(current) != k // 2:
         raise ValueError(f"need exactly {k // 2} links, got {len(current)}")
     if k in current:
@@ -325,20 +353,21 @@ def push_to_source(
         steps += 1
         if steps > inst.n:
             raise RuntimeError("push-to-source failed to terminate; construction bug")
-        complement = inst.nested_cut_links(high) - current
-        low = max(inst.link(l).lo for l in complement)
-        cut_low = inst.nested_cut_links(low)
+        # prefix cut i is row k-2+i of cut_links; link l is by_id[l - 1]
+        complement = cut_links[k - 2 + high] - current
+        low = max(by_id[l - 1].lo for l in complement)
+        cut_low = cut_links[k - 2 + low]
         if not complement <= cut_low:
             raise CertificationError(
                 f"complement set {sorted(complement)} not inside prefix cut {low}"
             )
-        new = frozenset(cut_low - complement)
-        if frozenset(inst.link(l).path for l in new) != paths:
+        new = cut_low - complement
+        if frozenset(by_id[l - 1].path for l in new) != paths:
             raise CertificationError(
                 f"move {high}->{low} changed the touched paths "
                 f"({sorted(new)} vs {sorted(current)})"
             )
-        new_high = max(inst.link(l).lo for l in new)
+        new_high = max(by_id[l - 1].lo for l in new)
         if new_high >= high:
             raise CertificationError(f"move {high}->{low} made no progress")
         moves.append(MoveStep(sub_nested=high, add_nested=low, links=new))
@@ -346,61 +375,56 @@ def push_to_source(
     return current, tuple(moves)
 
 
-def full_reduction(
-    inst: Instance, matrix: IntMatrix | None = None
-) -> tuple[IntMatrix, list[ReductionTrace]]:
+def full_reduction(inst: Instance, matrix: IntMatrix | None = None) -> list[ReductionTrace]:
     """Reduce every interval-cut row of the incidence matrix to a path
-    indicator row and verify the resulting block shape.
+    indicator row, verify the resulting block shape, and return the traces.
 
-    After the replay the top-left (k-1)x(k-1) block must equal the transpose
-    of the path/interval circulant, the rest of the first k-1 rows must be
-    zero, and the prefix-cut block over the last m-k+1 columns must be
-    lower-triangular with unit diagonal.  The replay ends by checking that
-    the circulant is nonsingular; with the block shape that gives rank m.
-    Every intermediate vector is checked against its set-level prediction,
-    so a single flipped entry in any participating row aborts the replay.
+    The rows are sparse maps from link id to nonzero entry, taken from
+    ``inst.cut_links`` or, when ``matrix`` is given, read once from it; no
+    m x m matrix is built.  Each split and each move is an O(k) update of
+    one interval row, checked entry for entry against its set-level
+    prediction, so a single flipped entry in any participating row aborts
+    the replay.  After the replay each interval row j must be column j of
+    the path/interval circulant over the source links 1..k-1 (the top rows
+    are ``[C^T, 0]``), and each prefix row must have entry 1 on the
+    diagonal and none right of it (the prefix block is unit lower
+    triangular).  The replay ends by checking that the circulant is
+    nonsingular; with the block shape that gives rank m.
     """
-    a = build_incidence_matrix(inst) if matrix is None else matrix
+    rows = _sparse_rows(inst, matrix)
     k, m = inst.k, inst.m
-    if a.rows != m or a.cols != m:
-        raise ValueError(f"matrix must be {m}x{m}")
     circulant = build_circulant(k)
-    qrows: list[list[int]] = []  # edited interval rows; prefix rows are read from ``a``
     traces: list[ReductionTrace] = []
     for j in range(1, k):
         low, high = bracketing_prefixes(inst, j)
-        # reduce_qcut_row checked that the split is twice the indicator of
+        # _split checked that the split is twice the indicator of
         # ``halved``; halving it leaves that indicator.
-        halved = reduce_qcut_row(inst, j, matrix=a)
-        row = _indicator(inst, halved)
-        qrows.append(row)
+        halved = _split(inst, j, rows)
+        row = dict.fromkeys(halved, 1)
         try:
             final, moves = push_to_source(inst, halved)
         except (ValueError, RuntimeError) as exc:
             raise CertificationError(f"interval row {j}: {exc}") from exc
         for step in moves:
-            sub = a.row(_nested_row(inst, step.sub_nested))
-            add = a.row(_nested_row(inst, step.add_nested))
-            for c in range(m):
-                row[c] += add[c] - sub[c]
-            if row != _indicator(inst, step.links):
+            sub = rows[_nested_row(inst, step.sub_nested)]
+            add = rows[_nested_row(inst, step.add_nested)]
+            row = _sub_add(row, sub, add)
+            if row != dict.fromkeys(step.links, 1):
                 raise CertificationError(
                     f"interval row {j}: replayed move does not match link set "
                     f"{sorted(step.links)}"
                 )
         paths = frozenset(inst.link(l).path for l in halved)
-        expected_paths = frozenset(
-            i for i in range(1, k) if circulant.at(i - 1, j - 1) == 1
-        )
-        if paths != expected_paths:
+        column = frozenset(i for i in range(1, k) if circulant.at(i - 1, j - 1) == 1)
+        if paths != column:
             raise CertificationError(
                 f"interval row {j}: touched paths {sorted(paths)} differ from "
-                f"circulant column {sorted(expected_paths)}"
+                f"circulant column {sorted(column)}"
             )
-        if final != paths:  # links 1..k-1 are indexed by their path
+        if row != dict.fromkeys(column, 1):  # links 1..k-1 are indexed by their path
             raise CertificationError(
-                f"interval row {j}: final links {sorted(final)} are not the "
-                f"source links of paths {sorted(paths)}"
+                f"interval row {j}: reduced row {sorted(row.items())} is not the "
+                f"indicator of the source links of paths {sorted(column)}"
             )
         traces.append(
             ReductionTrace(
@@ -413,44 +437,38 @@ def full_reduction(
                 paths=paths,
             )
         )
-    if [row[: k - 1] for row in qrows] != circulant.transpose().to_rows():
-        raise CertificationError("top-left block is not the transposed circulant")
-    if any(any(row[k - 1 :]) for row in qrows):
-        raise CertificationError("top-right block is not zero")
-    entries = a.entries
-    for i in range(k - 1, m):
-        if entries[i * m + i] != 1:
-            raise CertificationError(f"prefix block diagonal entry {i - k + 1} is not one")
-        if any(entries[i * m + i + 1 : (i + 1) * m]):
+    for r in range(k - 1, m):
+        # prefix row r has its diagonal at column r, link id r + 1
+        if rows[r].get(r + 1) != 1:
+            raise CertificationError(f"prefix block diagonal entry {r - k + 1} is not one")
+        if max(rows[r]) != r + 1:
             raise CertificationError(
-                f"prefix block row {i - k + 1} is non-zero above the diagonal"
+                f"prefix block row {r - k + 1} is non-zero above the diagonal"
             )
     if rank(circulant) != k - 1:
         raise CertificationError("circulant is singular, so the block shape does not give rank m")
-    reduced = tuple(x for row in qrows for x in row) + entries[(k - 1) * m :]
-    return IntMatrix(m, m, reduced), traces
+    return traces
 
 
 def certify_instance(inst: Instance, family: CutFamily) -> Certificate:
     """Full verdict bundle: basic-solution checks plus the reduction replay.
 
     The one code path that assembles a certificate, ``verify`` included.
-    ``A`` is built once and the replay runs first.  A replay that succeeds
-    proves ``rank A = m``: it only adds and subtracts rows and makes k-1
-    exact halvings, and it checks the final shape ``[[C^T, 0], [*, L]]``
-    with ``L`` unit lower triangular and the circulant ``C`` nonsingular.
-    So ``det A = 2^(k-1) det C``, and no m x m elimination is run.  A failed
-    replay gives ``reduction_ok`` false, no traces and its message in
-    ``reduction_error``; ``verify_basic`` then eliminates ``A`` to report
-    its exact rank.
+    The replay runs first, on the sparse rows of ``inst.cut_links``.  A
+    replay that succeeds proves ``rank A = m``: it only adds and subtracts
+    rows and makes k-1 exact halvings, and it checks the final shape
+    ``[[C^T, 0], [*, L]]`` with ``L`` unit lower triangular and the
+    circulant ``C`` nonsingular.  So ``det A = 2^(k-1) det C``, and neither
+    ``A`` nor any m x m elimination is needed.  A failed replay gives
+    ``reduction_ok`` false, no traces and its message in
+    ``reduction_error``; only then is ``A`` built, once, for
+    ``verify_basic`` to eliminate and report its exact rank.
     """
-    a = build_incidence_matrix(inst)
     try:
-        traces = full_reduction(inst, matrix=a)[1]
+        traces = full_reduction(inst)
     except CertificationError as exc:
-        cert = verify_basic(inst, family, matrix=a)
+        cert = verify_basic(inst, family)
         return replace(cert, reduction_ok=False, reduction_error=str(exc))
-    del a  # neither A nor the reduced matrix is held through the checks
     det_a = 2 ** (inst.k - 1) * det_bareiss(build_circulant(inst.k))
     cert = _certificate(inst, family, inst.m, det_a)
     return replace(cert, reduction_ok=True, traces=tuple(traces))

@@ -17,8 +17,8 @@ import sys
 import time
 
 from . import __version__
-from .certify import CertificationError, certify_instance, full_reduction
-from .construction import build_instance, listed_small_cuts
+from .certify import CertificationError, _listed_rows, certify_instance, full_reduction
+from .construction import build_instance
 from .cuts import (
     BruteForceSizeError,
     enumerate_bruteforce,
@@ -147,8 +147,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     probe_ok = True
     if args.trials is not None:
         probe_family = karger_probe(inst.graph, args.trials, args.seed)
-        listed = {side for _, side in listed_small_cuts(inst)}
-        stray = [sorted(s) for s in probe_family.sides() - listed]
+        # a probe cut is listed iff the certifier's shape rule gives it a row
+        rows = _listed_rows(inst, probe_family)
+        stray = [sorted(c.side) for c, r in zip(probe_family, rows) if r is None]
         probe_ok = not stray
         probe_doc = {
             "trials": args.trials,
@@ -184,7 +185,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     inst = build_instance(args.k)
-    _, traces = full_reduction(inst)
+    traces = full_reduction(inst)
     if args.trace:
         doc = {
             "schema_version": "1",

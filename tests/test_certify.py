@@ -2,10 +2,10 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smallcuts import certify, cli, exactmath
+from smallcuts import certify, cli, construction, exactmath
 from smallcuts.certify import (
     CertificationError,
     bracketing_prefixes,
@@ -26,9 +26,10 @@ from smallcuts.construction import (
     listed_small_cuts,
 )
 from smallcuts.cuts import Cut, CutFamily, enumerate_bruteforce, enumerate_flow
-from smallcuts.exactmath import det_bareiss
+from smallcuts.exactmath import IntMatrix, det_bareiss
 
 from oracles import rational_det, rational_rank, rational_solve_unique
+from test_acceptance import reduced_matrix
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,14 @@ def family4(inst4):
 @pytest.fixture(scope="module")
 def family6(inst6):
     return enumerate_flow(inst6.graph)
+
+
+def _flipped(a, entries):
+    """``a`` with each listed (row, column) entry flipped between 0 and 1."""
+    rows = a.to_rows()
+    for r, c in entries:
+        rows[r][c] ^= 1
+    return IntMatrix.from_rows(rows)
 
 
 class TestCoverage:
@@ -355,11 +364,11 @@ class TestPushToSource:
 
 class TestFullReduction:
     def test_k4_final_path_sets(self, inst4):
-        _, traces = full_reduction(inst4)
+        traces = full_reduction(inst4)
         assert [sorted(t.paths) for t in traces] == [[1, 3], [1, 2], [2, 3]]
 
     def test_k4_block_shape(self, inst4):
-        reduced, _ = full_reduction(inst4)
+        reduced = reduced_matrix(inst4, full_reduction(inst4))
         k, m = 4, 10
         assert reduced.block(0, k - 1, 0, k - 1) == build_circulant(4).transpose()
         assert all(x == 0 for x in reduced.block(0, k - 1, k - 1, m).entries)
@@ -367,7 +376,7 @@ class TestFullReduction:
     @pytest.mark.parametrize("k", (4, 6, 8))
     def test_structure_holds(self, k):
         inst = build_instance(k)
-        reduced, traces = full_reduction(inst)
+        traces = full_reduction(inst)
         assert len(traces) == k - 1
         for t in traces:
             assert len(t.final) == k // 2
@@ -376,7 +385,7 @@ class TestFullReduction:
                 assert step.sub_nested > step.add_nested
 
     def test_moves_strictly_descend(self, inst6):
-        _, traces = full_reduction(inst6)
+        traces = full_reduction(inst6)
         for t in traces:
             highs = [t.sub_nested] + [s.sub_nested for s in t.moves]
             assert highs == sorted(highs, reverse=True)
@@ -403,7 +412,7 @@ class TestFullReduction:
         # below it leaves a matrix whose determinant the replay still gives.
         inst = build_instance(k)
         a = build_incidence_matrix(inst)
-        _, traces = full_reduction(inst, matrix=a)
+        traces = full_reduction(inst, matrix=a)
         read = {i for t in traces for i in (t.add_nested, t.sub_nested)}
         read |= {i for t in traces for s in t.moves for i in (s.add_nested, s.sub_nested)}
         unread = [i for i in range(1, inst.n) if i not in read]
@@ -421,6 +430,79 @@ class TestFullReduction:
             flipped = a.with_row(r, row)
             full_reduction(inst, matrix=flipped)
             assert det_bareiss(flipped) == 2 ** (k - 1) * det_bareiss(build_circulant(k))
+
+    @pytest.mark.parametrize("k", (4, 6))
+    def test_single_flip_is_sound(self, k):
+        # The replay is a proof for whatever rows it is given: after any
+        # single-entry flip of A it aborts, or the flipped matrix has the
+        # determinant it claims.  An interval-row flip always aborts.
+        inst = build_instance(k)
+        a = build_incidence_matrix(inst)
+        claimed = 2 ** (k - 1) * rational_det(build_circulant(k).to_rows())
+        accepted = 0
+        for r in range(inst.m):
+            for c in range(inst.m):
+                flipped = _flipped(a, [(r, c)])
+                try:
+                    full_reduction(inst, matrix=flipped)
+                except CertificationError:
+                    continue
+                assert r >= k - 1, (r, c)
+                assert rational_det(flipped.to_rows()) == claimed, (r, c)
+                accepted += 1
+        assert accepted
+
+    @pytest.mark.parametrize("k", (4, 6))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_multi_flip_is_sound(self, k, data):
+        # 2-4 flips at once; a pair in one column of two prefix rows can
+        # cancel inside a split or a move, so such pairs are drawn too
+        inst = build_instance(k)
+        m = inst.m
+        a = build_incidence_matrix(inst)
+        entry = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+        if data.draw(st.booleans(), label="cancelling pair"):
+            r1, r2 = data.draw(
+                st.lists(st.integers(k - 1, m - 1), min_size=2, max_size=2, unique=True)
+            )
+            c = data.draw(st.integers(0, m - 1))
+            extra = data.draw(st.lists(entry, max_size=2, unique=True))
+            flips = list(dict.fromkeys([(r1, c), (r2, c)] + extra))
+        else:
+            flips = data.draw(st.lists(entry, min_size=2, max_size=4, unique=True))
+        flipped = _flipped(a, flips)
+        try:
+            full_reduction(inst, matrix=flipped)
+        except CertificationError:
+            return
+        claimed = 2 ** (k - 1) * rational_det(build_circulant(k).to_rows())
+        assert rational_det(flipped.to_rows()) == claimed, flips
+
+    @pytest.mark.parametrize("k", (4, 6))
+    def test_prefix_diagonal_two_aborts(self, k):
+        # entries other than 0/1 are kept: a diagonal entry of 2 would
+        # double the determinant, so it must abort in every prefix row
+        inst = build_instance(k)
+        a = build_incidence_matrix(inst)
+        for r in range(k - 1, inst.m):
+            row = a.row(r)
+            row[r] = 2
+            with pytest.raises(CertificationError):
+                full_reduction(inst, matrix=a.with_row(r, row))
+
+    def test_move_loop_stopping_early_aborts(self, inst4, monkeypatch):
+        # moves that stop short of the source links leave a row that is not
+        # the circulant column, even when the reported final set agrees
+        real = certify.push_to_source
+
+        def early(inst, links):
+            final, moves = real(inst, links)
+            return (moves[0].links, moves[:1]) if moves else (final, moves)
+
+        monkeypatch.setattr(certify, "push_to_source", early)
+        with pytest.raises(CertificationError, match="interval row 3: reduced row"):
+            full_reduction(inst4)
 
     def test_singular_circulant_aborts(self, inst4, monkeypatch):
         # the block shape gives rank m only with a nonsingular circulant
@@ -449,7 +531,10 @@ class TestFullReduction:
             return eliminate(m)
 
         monkeypatch.setattr(exactmath, "_eliminate", counted)
+        builds = _count_calls(monkeypatch, "build_incidence_matrix")
         cert = certify_instance(inst4, family4)
+        # the replay proved nothing, so A is built for the fallback, once
+        assert len(builds) == 1
         assert cert.reduction_ok is False and cert.is_basic
         assert cert.traces == ()
         assert "no move from here" in cert.reduction_error
@@ -475,7 +560,7 @@ def test_certify_instance_sets_reduction_flag(inst4, family4):
     cert = certify_instance(inst4, family4)
     assert cert.reduction_ok is True
     assert cert.is_basic
-    assert cert.traces == tuple(full_reduction(inst4)[1])
+    assert cert.traces == tuple(full_reduction(inst4))
     assert cert.reduction_error is None
     assert cert.false_verdicts == ()
 
@@ -487,6 +572,22 @@ def test_false_verdicts_without_replay(inst4, family4):
     assert cert.false_verdicts == ("is_basic", "family_exact", "reduction_ok")
 
 
+def _count_calls(monkeypatch, name):
+    """Record the first argument of every call of ``certify.<name>``, and of
+    the construction function of that name, which certify imports."""
+    calls = []
+    real = getattr(certify, name)
+
+    def counted(inst, *args, **kwargs):
+        calls.append(inst)
+        return real(inst, *args, **kwargs)
+
+    monkeypatch.setattr(certify, name, counted)
+    if hasattr(construction, name):
+        monkeypatch.setattr(construction, name, counted)
+    return calls
+
+
 def test_one_elimination_per_certificate(inst6, family6, monkeypatch, tmp_path):
     shapes = []
     eliminate = exactmath._eliminate
@@ -496,11 +597,16 @@ def test_one_elimination_per_certificate(inst6, family6, monkeypatch, tmp_path):
         return eliminate(m)
 
     monkeypatch.setattr(exactmath, "_eliminate", counted)
+    builds = _count_calls(monkeypatch, "build_incidence_matrix")
+    replays = _count_calls(monkeypatch, "full_reduction")
     cert = certify_instance(inst6, family6)
     assert cert.is_basic and cert.reduction_ok
-    # the circulant's rank in the replay and its determinant; no 21 x 21
+    # the circulant's rank in the replay and its determinant; no 21 x 21,
+    # and the replay runs on the sparse rows without building A
     assert shapes == [(5, 5), (5, 5)]
-    shapes.clear()
+    assert (len(builds), len(replays)) == (0, 1)
+    shapes.clear(), builds.clear(), replays.clear()
     out = tmp_path / "cert.json"
     assert cli.main(["verify", "-k", "6", "--strategy", "flow", "--out", str(out)]) == 0
     assert shapes == [(5, 5), (5, 5)]
+    assert (len(builds), len(replays)) == (0, 1)

@@ -321,6 +321,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "no move from here" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("strays", ((), ({3, 4},), ({6}, {3, 4})))
+    def test_probe_containment(self, tmp_path, monkeypatch, capsys, strays):
+        # the probe is replaced by a family of listed cuts plus the given
+        # stray sides; the strays are reported in family order
+        def probe(g, trials, seed):
+            inst = build_instance(4)
+            sides = [inst.qset_side(2), *strays, inst.nested_side(5)]
+            return CutFamily(tuple(cuts.canonical_cut(g, s) for s in sides), g.lam)
+
+        monkeypatch.setattr(cli, "karger_probe", probe)
+        out = tmp_path / "cert.json"
+        code = cli.main(["verify", "-k", "4", "--trials", "1", "--out", str(out)])
+        probe_doc = json.loads(out.read_text())["probe"]
+        err = capsys.readouterr().err
+        assert probe_doc["cuts_seen"] == 2 + len(strays)
+        assert probe_doc["stray_cuts"] == [sorted(s) for s in strays]
+        assert probe_doc["contained_in_family"] is (not strays)
+        assert code == (1 if strays else 0)
+        assert ("certification failed: probe_contained" in err) == bool(strays)
+
     def test_frontier_width_budget_usage_error(self, monkeypatch, capsys):
         monkeypatch.setattr(cuts, "MAX_FRONTIER_WIDTH", 1)
         assert cli.main(["verify", "-k", "4", "--strategy", "flow"]) == 2
