@@ -224,7 +224,7 @@ def _certificate(inst: Instance, family: CutFamily, rank_a: int, det_a: int) -> 
         if total != den:
             tight = False
             failures.append(f"tightness:{label}")
-    bounds_strict = all(0 < x < 1 for x in inst.xstar)
+    bounds_strict = all(0 < v < den for v in nums)
     if not bounds_strict:
         failures.append("bounds")
     if rank_a != inst.m:
@@ -243,7 +243,7 @@ def _certificate(inst: Instance, family: CutFamily, rank_a: int, det_a: int) -> 
         rank_a=rank_a,
         det_a=det_a,
         is_basic=not failures,
-        max_coordinate=max(inst.xstar),
+        max_coordinate=Fraction(max(nums), den),
         failures=tuple(failures),
     )
 

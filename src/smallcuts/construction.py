@@ -90,6 +90,8 @@ class Instance:
 
     def link(self, link_id: int) -> Link:
         """Link by its 1-based id."""
+        if not 1 <= link_id <= self.m:
+            raise ValueError(f"link {link_id} out of range 1..{self.m}")
         return self.links[link_id - 1]
 
     @cached_property
@@ -113,9 +115,14 @@ class Instance:
 
     def nested_side(self, i: int) -> frozenset[int]:
         """Canonical side (excluding node 1) of the i-th prefix cut."""
+        if not 1 <= i <= self.n - 1:
+            raise ValueError(f"nested index {i} out of range 1..{self.n - 1}")
         return frozenset(range(i + 1, self.n + 1))
 
     def qset_side(self, j: int) -> frozenset[int]:
+        """Node set of interval j."""
+        if not 1 <= j <= self.k - 1:
+            raise ValueError(f"interval index {j} out of range 1..{self.k - 1}")
         q = self.qsets[j - 1]
         return frozenset(range(q.first, q.last + 1))
 

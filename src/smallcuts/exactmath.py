@@ -5,27 +5,22 @@ the determinant of a matrix together, and `rank` and `det_bareiss` each
 read one of the two.
 
 Every quantity that feeds a certification verdict is an exact integer or a
-`fractions.Fraction`; there is no floating point in this module.  The
-elimination holds its matrix as a numpy array of dtype int64 while a
-per-block bound shows that no product overflows, and of dtype `object`
-(Python ints) from the first block where it might; never a float dtype.
-`Rat` is the rational scalar type used for coverage sums and solution
-coordinates (stdlib Fraction already guarantees a positive, gcd-reduced
-denominator).
+`fractions.Fraction`; there is no floating point in this module.  An
+`IntMatrix` refuses any entry that is not a Python `int`, and the
+elimination works on lists of Python ints, so nothing is truncated or
+overflows.  `Rat` is the rational scalar type used for coverage sums and
+solution coordinates (stdlib Fraction already guarantees a positive,
+gcd-reduced denominator).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 Rat = Fraction
-
-_INT64_MAX = 2**63 - 1
-_BLOCK = 32  # rows per array update, so no step makes a full-size temporary
 
 
 @dataclass(frozen=True)
@@ -43,6 +38,9 @@ class IntMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
+        for i, x in enumerate(self.entries):
+            if type(x) is not int:
+                raise TypeError(f"entry {i} is {x!r}, not an int")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -52,7 +50,7 @@ class IntMatrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(int(x) for x in r)
+            flat.extend(map(operator.index, r))
         return cls(nrows, ncols, tuple(flat))
 
     @classmethod
@@ -78,7 +76,7 @@ class IntMatrix:
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} out of range")
         ent = list(self.entries)
-        ent[i * self.cols : (i + 1) * self.cols] = [int(x) for x in new_row]
+        ent[i * self.cols : (i + 1) * self.cols] = map(operator.index, new_row)
         return IntMatrix(self.rows, self.cols, tuple(ent))
 
     def transpose(self) -> "IntMatrix":
@@ -102,10 +100,6 @@ class IntMatrix:
         return self.rows == self.cols
 
 
-def _abs_max(v: np.ndarray) -> int:
-    return max(int(v.max(initial=0)), -int(v.min(initial=0)))
-
-
 def _eliminate(m: IntMatrix) -> tuple[int, int]:
     """Fraction-free (one-step Bareiss) elimination with column scan.
 
@@ -113,51 +107,33 @@ def _eliminate(m: IntMatrix) -> tuple[int, int]:
     full rank.  Intermediate entries are minors of the input, so every
     division below is exact over the integers; nothing is rounded.  The last
     pivot is the determinant of the row-permuted matrix, hence the sign of
-    the swaps.
-
-    The rows below the pivot are updated by array statements, ``_BLOCK``
-    rows at a time, on an int64 array (``dtype=object`` from the start when
-    an input entry does not fit).  Before each block's update, the bound
-    ``max|x|*|pivot| + max|f|*max|y|`` on every product and difference the
-    update forms is computed in Python ints over that block; the first time
-    it exceeds ``_INT64_MAX``, the array becomes ``dtype=object`` and the
-    same statements carry on with Python ints.  Columns at or left of the
-    pivot column are never read again, so they are left as they are.
+    the swaps.  Rows are lists of Python ints, which have no word size, so
+    no entry can overflow.  Columns at or left of the pivot column are never
+    read again, so they are left as they are.
     """
+    a = m.to_rows()
     nrows, ncols = m.rows, m.cols
-    try:
-        a = np.array(m.entries, dtype=np.int64).reshape(nrows, ncols)
-    except OverflowError:
-        a = np.array(m.entries, dtype=object).reshape(nrows, ncols)
     sign = 1
     prev = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nonzero = r + np.flatnonzero(a[r:, c])
-        if nonzero.size == 0:
+        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if piv is None:
             continue
-        piv = int(nonzero[0])
         if piv != r:
-            a[[r, piv]] = a[[piv, r]]
+            a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        pivot = int(a[r, c])
-        # A row with f == 0 is left as it is when pivot == prev.  After the
-        # swap, row piv holds the old row r, which was 0 in this column.
-        rows = nonzero[1:] if pivot == prev else np.arange(r + 1, nrows)
-        y = a[r, c + 1 :]
-        ymax = _abs_max(y)
-        for start in range(0, rows.size, _BLOCK):
-            block = rows[start : start + _BLOCK]
-            rest = a[block, c:]
-            x, f = rest[:, 1:], rest[:, :1]
-            if a.dtype != object and (
-                _abs_max(x) * abs(pivot) + _abs_max(f) * ymax > _INT64_MAX
-            ):
-                a = a.astype(object)
-                x, f, y = x.astype(object), f.astype(object), a[r, c + 1 :]
-            a[block, c + 1 :] = (x * pivot - f * y) // prev
+        row_r = a[r]
+        pivot = row_r[c]
+        for i in range(r + 1, nrows):
+            row_i = a[i]
+            f = row_i[c]
+            if f == 0 and pivot == prev:
+                continue  # the update below would leave this row as it is
+            for j in range(c + 1, ncols):
+                row_i[j] = (row_i[j] * pivot - f * row_r[j]) // prev
         prev = pivot
         r += 1
     return r, (sign * prev if r == nrows == ncols else 0)

@@ -37,7 +37,13 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+    """A rational written as a string; anything else is a ValueError."""
+    if not isinstance(s, str):
+        raise ValueError(f"{s!r} is not a string")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"{s!r} has a zero denominator") from None
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +90,8 @@ def _paths_from_links(k: int, n: int, links: tuple[Link, ...]) -> PathSystem:
 
 
 def instance_from_doc(doc: dict[str, Any]) -> Instance:
+    if not isinstance(doc, dict):
+        raise ValueError(f"instance document must be an object, got {type(doc).__name__}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     for key in ("k", "n", "m", "lambda", "edges", "qsets", "links", "xstar"):
@@ -101,7 +109,12 @@ def instance_from_doc(doc: dict[str, Any]) -> Instance:
         for j, (first, last) in enumerate(doc["qsets"], start=1)
     )
     links = tuple(Link(int(i), int(a), int(b), int(p)) for i, a, b, p in doc["links"])
-    xstar = tuple(parse_frac(s) for s in doc["xstar"])
+    xstar: list[Fraction] = []
+    for i, s in enumerate(doc["xstar"]):
+        try:
+            xstar.append(parse_frac(s))
+        except ValueError as exc:
+            raise ValueError(f"xstar[{i}]: {exc}") from None
     if len(xstar) != int(doc["m"]) or len(links) != int(doc["m"]):
         raise ValueError("m does not match links/xstar length")
     inst = Instance(
@@ -110,7 +123,7 @@ def instance_from_doc(doc: dict[str, Any]) -> Instance:
         qsets=qsets,
         path_system=_paths_from_links(k, n, links),
         links=links,
-        xstar=xstar,
+        xstar=tuple(xstar),
     )
     validate_instance(inst)
     return inst

@@ -212,6 +212,26 @@ class TestVerifyBasic:
         assert cert.is_basic == (not cert.failures)
         assert not cert.is_basic
         assert not cert.bounds_strict
+        # The bounds and the largest coordinate are read from integer
+        # numerators over a common denominator; they must agree with the
+        # same checks made on the Fractions themselves.
+        edits = [
+            {3: Fraction(0)},
+            {0: Fraction(-1, 3)},
+            {1: Fraction(2, 3), 2: Fraction(1, 7)},
+            {0: Fraction(5, 6), 4: Fraction(0), 9: Fraction(1)},
+            {2: Fraction(-2, 5), 5: Fraction(3, 10)},
+            {6: Fraction(1, 9), 7: Fraction(4, 15)},
+        ]
+        for edit in edits:
+            xs = list(inst4.xstar)
+            for i, x in edit.items():
+                xs[i] = x
+            cert = verify_basic(dataclasses.replace(inst4, xstar=tuple(xs)), family4)
+            strict = all(0 < x < 1 for x in xs)
+            assert cert.bounds_strict == strict, edit
+            assert ("bounds" in cert.failures) == (not strict), edit
+            assert cert.max_coordinate == max(xs), edit
 
     def test_uncovered_surplus_cut_is_infeasible(self, inst4, family4):
         # {2} is crossed by links 1 and 5 only, so it is covered 2 * 1/4 < 1
@@ -355,6 +375,10 @@ class TestPushToSource:
     def test_rejects_source_sink_link(self, inst4):
         with pytest.raises(ValueError):
             push_to_source(inst4, {4, 5})
+
+    def test_rejects_unknown_link(self, inst4):
+        with pytest.raises(ValueError, match="link 0 out of range"):
+            push_to_source(inst4, {0, 1})
 
     def test_rejects_uncontained_set(self, inst4):
         # links 5=(2,4) and 10=(7,8) share no prefix cut

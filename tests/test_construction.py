@@ -101,11 +101,15 @@ class TestCirculant:
     def test_k6_det(self):
         assert det_bareiss(build_circulant(6)) == 3
 
-    @pytest.mark.parametrize("k", SUPPORTED_K)
+    # 48, 94 and 104 are the sizes a certificate reaches; the circulant is
+    # the one matrix a built instance's certificate eliminates.
+    @pytest.mark.parametrize("k", SUPPORTED_K + (48, 94, 104))
     def test_det_and_rank(self, k):
         apq = build_circulant(k)
         assert det_bareiss(apq) == k // 2
         assert rank(apq) == k - 1
+        if k == 48:
+            assert rank(apq) == rational_rank(apq.to_rows())
 
     @pytest.mark.parametrize("k", SUPPORTED_K)
     def test_circulant_rotation_and_sums(self, k):
@@ -193,6 +197,25 @@ class TestInstance:
         inst = build_instance(6)
         assert set(inst.xstar) == {Fraction(1, 6)}
         assert len(inst.xstar) == inst.m
+
+    def test_accessors_reject_out_of_range(self):
+        # k = 4: links 1..10, intervals 1..3, prefix cuts 1..7
+        inst = build_instance(4)
+        assert inst.link(10).id == 10
+        assert inst.qset_side(3) == frozenset({6, 7})
+        assert inst.nested_side(7) == frozenset({8})
+        cases = [
+            (inst.link, (0, 11), "link {} out of range 1..10"),
+            (inst.qset_side, (0, 4), "interval index {} out of range 1..3"),
+            (inst.nested_side, (0, 8), "nested index {} out of range 1..7"),
+            (inst.qcut_links, (0, 4), "interval index {} out of range 1..3"),
+            (inst.nested_cut_links, (0, 8), "nested index {} out of range 1..7"),
+        ]
+        for accessor, bad, message in cases:
+            for i in bad:
+                with pytest.raises(ValueError) as err:
+                    accessor(i)
+                assert str(err.value) == message.format(i)
 
 
 class TestIncidenceMatrix:

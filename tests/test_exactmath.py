@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,10 +136,9 @@ def wide_matrices(bits, square, max_n=8):
 
 
 class TestMachineWordBound:
-    """The elimination runs on int64 arrays only while a bound shows that no
-    product overflows; past it, on Python ints.  Entries up to 2**40 start as
-    int64 and overflow it within a step or two; entries up to 2**70 start as
-    Python ints."""
+    """Entries and minors past a machine word stay exact.  Entries up to
+    2**40 make products past 2**63 within a step or two; entries up to 2**70
+    are past it from the start."""
 
     @given(st.one_of(wide_matrices(40, square=True), wide_matrices(70, square=True)))
     @settings(max_examples=100, deadline=None)
@@ -152,10 +152,9 @@ class TestMachineWordBound:
 
     def test_switch_to_python_ints_mid_elimination(self):
         # Unit lower triangular times upper triangular with diagonal 2**8:
-        # the determinant is 2**64, which no int64 holds, while every entry
-        # is below 2**9, so the first step's products fit in int64.  The
-        # elimination starts on int64 and must leave it before its last
-        # pivot (it does so at the fourth of eight steps).
+        # the determinant is 2**64, past any 64-bit word, while every entry
+        # is below 2**9, so the first step's products are small.  The
+        # products pass 2**63 partway through the eight steps.
         n = 8
         lower = [[1 if j <= i else 0 for j in range(n)] for i in range(n)]
         upper = [[2**8 if i == j else (j - i if j > i else 0) for j in range(n)] for i in range(n)]
@@ -189,6 +188,27 @@ class TestIntMatrix:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])
+
+    def test_non_integers_refused(self):
+        # a float must not reach the elimination, truncated or not
+        with pytest.raises(TypeError, match=r"entry 0 is 1\.5"):
+            IntMatrix(1, 1, (1.5,))
+        with pytest.raises(TypeError, match="entry 2 is 0.5"):
+            IntMatrix(2, 2, (1, 0, 0.5, 1))
+        with pytest.raises(TypeError):
+            IntMatrix(1, 1, (np.int64(1),))
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[1, 2], [3, 4.0]])
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[Fraction(1, 2)]])
+        with pytest.raises(TypeError):
+            IntMatrix.identity(2).with_row(0, [1, 0.5])
+
+    def test_numpy_integers_accepted(self):
+        m = IntMatrix.from_rows(np.array([[2, 1], [1, 3]], dtype=np.int64))
+        assert all(type(x) is int for x in m.entries)
+        assert det_bareiss(m) == 5
+        assert m.with_row(1, np.array([4, 2], dtype=np.int64)).row(1) == [4, 2]
 
     def test_block(self):
         m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])

@@ -128,6 +128,19 @@ class TestInstanceDoc:
             del doc[key]
             with pytest.raises(ValueError, match=f"no '{key}' key"):
                 instance_from_doc(doc)
+        for index, value, message in (
+            (3, "1/0", "zero denominator"),
+            (0, 0.25, "not a string"),
+            (9, None, "not a string"),
+            (2, "a/b", "Invalid literal"),
+        ):
+            doc = instance_to_doc(build_instance(4))
+            doc["xstar"][index] = value
+            with pytest.raises(ValueError, match=rf"xstar\[{index}\]: .*{message}"):
+                instance_from_doc(doc)
+        for doc in ([], "{}", None, 4):
+            with pytest.raises(ValueError, match="must be an object"):
+                instance_from_doc(doc)
 
 
 # --- LP export ---------------------------------------------------------------
