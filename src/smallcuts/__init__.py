@@ -14,6 +14,7 @@ from .certify import (
     Certificate,
     CertificationError,
     FamilyCheck,
+    FamilySizeError,
     MoveStep,
     ReductionTrace,
     bracketing_prefixes,
@@ -47,6 +48,7 @@ from .cuts import (
     BruteForceSizeError,
     Cut,
     CutFamily,
+    FrontierFamily,
     canonical_cut,
     cut_capacity,
     enumerate_bruteforce,
@@ -64,6 +66,8 @@ __all__ = [
     "CutFamily",
     "Edge",
     "FamilyCheck",
+    "FamilySizeError",
+    "FrontierFamily",
     "Instance",
     "IntMatrix",
     "Link",

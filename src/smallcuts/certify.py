@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .construction import (
     Instance,
@@ -27,7 +27,7 @@ from .construction import (
     listed_crossings,
     listed_labels,
 )
-from .cuts import Cut, CutFamily
+from .cuts import Cut, CutFamily, FrontierFamily
 from .exactmath import IntMatrix, det_bareiss, rank
 
 
@@ -123,9 +123,88 @@ def listed_capacity_table(inst: Instance) -> dict[str, int]:
     }
 
 
+class FamilySizeError(ValueError):
+    """An enumerated family whose counts disagree with the listed cuts is too
+    large to name its missing and surplus cuts side by side."""
+
+
+# States of the listed-side automaton; a run in progress is its first node
+# (>= 2), which may still start an interval.
+BEFORE, PREFIX, AFTER = 0, -1, -2
+
+
+def _listed_automaton(inst: Instance) -> Callable[[int, int, int], int | None]:
+    """The step function of a deterministic layered automaton that accepts
+    exactly the canonical sides the shape rule of ``_listed_rows`` gives a
+    row: a run lo..n with ``lo >= 2``, or a run lo..hi that is an interval.
+
+    Reading node v on side s: before the run, side 1 starts a run at v,
+    held as ``v`` when some interval starts there and as PREFIX otherwise;
+    a run ``lo`` becomes PREFIX once it passes the last node of every
+    interval that starts at lo, and AFTER when it stops right after one of
+    them; PREFIX must run to n and AFTER must stay at side 0.  Every state
+    accepts: a run still open after node n is a prefix cut, and no cut ends
+    in BEFORE, since a cut has a node on side 1.  Merging the runs that
+    can no longer be an interval into PREFIX keeps the product with the
+    frontier DAG to a few automaton states per DP state.
+    """
+    ends: dict[int, set[int]] = {}
+    for q in inst.qsets:
+        ends.setdefault(q.first, set()).add(q.last)
+    reach = {lo: max(lasts) for lo, lasts in ends.items()}
+
+    def step(v: int, a: int, s: int) -> int | None:
+        if a == BEFORE:
+            return (v if v in ends else PREFIX) if s else BEFORE
+        if a == PREFIX:
+            return PREFIX if s else None
+        if a == AFTER:
+            return None if s else AFTER
+        if s:
+            return a if v <= reach[a] else PREFIX
+        return AFTER if v - 1 in ends[a] else None
+
+    return step
+
+
+def family_walk_budget(inst: Instance) -> int:
+    """The most cuts a frontier family may hold and still have its missing
+    and surplus cuts named when its counts disagree: twice the n + k - 2
+    listed cuts."""
+    return 2 * (inst.k + inst.n - 2)
+
+
 def verify_family(inst: Instance, family: CutFamily) -> FamilyCheck:
     """Is the enumerated family exactly the listed prefix and interval cuts?"""
-    return _family_check(inst, family, _listed_rows(inst, family))
+    return _family(inst, family)[0]
+
+
+def _family(inst: Instance, family: CutFamily) -> tuple[FamilyCheck, list[int | None] | None]:
+    """The family check, and the listed row of each cut of the family in
+    order (None for a surplus cut), or None in place of the rows when the
+    family is proved exact by counting.
+
+    A ``FrontierFamily`` is exact iff its size, the number of its cuts the
+    listed-side automaton accepts and the number n + k - 2 of listed cuts
+    are equal; no side is read.  When they differ, its cuts are walked
+    and compared by shape, like an explicit family's, but only when it
+    holds at most ``family_walk_budget`` cuts; a larger family raises
+    ``FamilySizeError``, naming both counts.
+    """
+    if isinstance(family, FrontierFamily):
+        listed = inst.k + inst.n - 2
+        accepted = sum(family.count_accepted(BEFORE, _listed_automaton(inst)).values())
+        if len(family) == accepted == listed:
+            return FamilyCheck(ok=True, missing=(), surplus=()), None
+        budget = family_walk_budget(inst)
+        if len(family) > budget:
+            raise FamilySizeError(
+                f"the enumerated family has {len(family)} cuts, {accepted} of them "
+                f"listed, against {listed} listed cuts; naming its missing and "
+                f"surplus cuts is refused above {budget} cuts"
+            )
+    rows = _listed_rows(inst, family)
+    return _family_check(inst, family, rows), rows
 
 
 def _listed_rows(inst: Instance, family: CutFamily) -> list[int | None]:
@@ -146,13 +225,17 @@ def _listed_rows(inst: Instance, family: CutFamily) -> list[int | None]:
     return rows
 
 
+def _listed_side(inst: Instance, r: int) -> frozenset[int]:
+    """The side of the listed cut of incidence row r."""
+    k = inst.k
+    return inst.qset_side(r + 1) if r < k - 1 else inst.nested_side(r - k + 2)
+
+
 def _family_check(inst: Instance, family: CutFamily, rows: list[int | None]) -> FamilyCheck:
     # Sides are built only for the listed cuts the family misses.
-    k, found = inst.k, set(rows)
+    found = set(rows)
     missing_sides = {
-        inst.qset_side(r + 1) if r < k - 1 else inst.nested_side(r - k + 2)
-        for r in range(k + inst.n - 2)
-        if r not in found
+        _listed_side(inst, r) for r in range(inst.k + inst.n - 2) if r not in found
     }
     surplus_sides = {c.side for c, r in zip(family, rows) if r is None}
     missing = tuple(sorted(missing_sides, key=sorted))
@@ -203,8 +286,7 @@ def _certificate(inst: Instance, family: CutFamily, rank_a: int, det_a: int) -> 
     for label, cap in caps.items():
         if cap >= lam:
             failures.append(f"capacity:{label}")
-    rows = _listed_rows(inst, family)
-    fam = _family_check(inst, family, rows)
+    fam, rows = _family(inst, family)
     if fam.missing:
         failures.append(f"family:missing={len(fam.missing)}")
 
@@ -213,12 +295,20 @@ def _certificate(inst: Instance, family: CutFamily, rank_a: int, det_a: int) -> 
     # over its own links; only a surplus cut is tested link by link.
     nums, den = _scaled_point(inst)
     totals = [sum(nums[f - 1] for f in links) for links in inst.cut_links]
-    feasible = True
-    for c, r in zip(family, rows):
-        total = _crossing_total(inst, nums, c.side) if r is None else totals[r]
-        if total < den:
-            feasible = False
-            failures.append(f"coverage:{sorted(c.side)}")
+    if rows is None:
+        # Exact by counting: the family is the listed cuts, so only the
+        # sides of listed rows covered less than once are built, and named
+        # in the family's (size, sorted side) order.
+        short = [_listed_side(inst, r) for r, total in enumerate(totals) if total < den]
+        uncovered = [sorted(side) for side in sorted(short, key=lambda s: (len(s), sorted(s)))]
+    else:
+        uncovered = [
+            sorted(c.side)
+            for c, r in zip(family, rows)
+            if (_crossing_total(inst, nums, c.side) if r is None else totals[r]) < den
+        ]
+    feasible = not uncovered
+    failures.extend(f"coverage:{side}" for side in uncovered)
     tight = True
     for label, total in zip(listed_labels(inst), totals):
         if total != den:

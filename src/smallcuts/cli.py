@@ -6,8 +6,8 @@ the row-operation replay), ``export-lp`` (covering LP file).  ``verify``
 assembles no verdict of its own: it adds only the cross-check of two
 strategies and the probe's containment to the certificate's false verdicts.
 Exit status: 0 on success, 1 when any certification verdict fails, 2 on
-usage errors, among them an output path that cannot be written and a
-``--trials`` below 1.
+usage errors, among them an output path that cannot be written, a
+``--trials`` below 1, and a budget a graph or an enumerated family exceeds.
 """
 
 from __future__ import annotations
@@ -17,7 +17,13 @@ import sys
 import time
 
 from . import __version__
-from .certify import CertificationError, _listed_rows, certify_instance, full_reduction
+from .certify import (
+    CertificationError,
+    FamilySizeError,
+    _listed_rows,
+    certify_instance,
+    full_reduction,
+)
 from .construction import build_instance
 from .cuts import (
     BruteForceSizeError,
@@ -236,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "export-lp":
             return _cmd_export_lp(args)
         parser.error(f"unknown command {args.command}")
-    except BruteForceSizeError as exc:
+    except (BruteForceSizeError, FamilySizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CertificationError as exc:

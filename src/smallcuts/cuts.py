@@ -8,12 +8,19 @@ below the graph threshold, by one of three strategies:
   guarded by a node budget);
 * ``enumerate_flow`` (a historical name) runs an exact dynamic programme
   over the nodes in index order, whose states are the sides of the open
-  nodes, the boundary so far and a flag, and walks back from the accepting
-  states, one cut per path; no flow is computed.  Its work grows as
-  2^width in the frontier width, which is capped at ``MAX_FRONTIER_WIDTH``
-  = 16; the built instances have width 2.  On a 2-core x86 host with
-  CPython 3.11 it takes 0.015 s at k = 24 (n = 278), 0.2 s at k = 48
-  (n = 1130) and 1.1 s at k = 64 (n = 2018);
+  nodes, the boundary so far and a flag; no flow is computed.  It returns
+  a ``FrontierFamily`` that holds the programme's DAG: one cut per path
+  from the start to an accepting state.  The forward pass counts those
+  paths, so the family's size, and how many of its cuts a layered
+  automaton accepts, cost no side.  The cuts themselves are walked back
+  from the accepting states only when they are read (iteration, ``cuts``,
+  ``sides``, membership): by ``--strategy both``, and when the certifier's
+  counts disagree.  Its work grows as 2^width in the frontier width, which
+  is capped at ``MAX_FRONTIER_WIDTH`` = 16; the built instances have width
+  2.  On a 2-core x86 host with CPython 3.11 the forward pass plus the
+  certifier's count take 0.011 s at k = 24 (n = 278), 0.047 s at k = 48
+  (n = 1130) and 0.29 s at k = 94 (n = 4373); the walk adds 0.02 s, 0.34 s
+  and 4.1 s;
 * ``karger_probe`` repeats seeded capacity-weighted edge contraction, which
   can only ever find genuine cuts and serves as a randomized stress test.
 """
@@ -22,8 +29,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
-from typing import Iterable
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -61,8 +69,12 @@ class CutFamily:
         ordered = sorted(by_side.values(), key=lambda c: (len(c.side), sorted(c.side)))
         return cls(tuple(ordered), lam)
 
-    def sides(self) -> frozenset[frozenset[int]]:
+    @cached_property
+    def _side_set(self) -> frozenset[frozenset[int]]:
         return frozenset(c.side for c in self.cuts)
+
+    def sides(self) -> frozenset[frozenset[int]]:
+        return self._side_set
 
     def __len__(self) -> int:
         return len(self.cuts)
@@ -71,7 +83,7 @@ class CutFamily:
         return iter(self.cuts)
 
     def __contains__(self, side: frozenset[int]) -> bool:
-        return side in self.sides()
+        return side in self._side_set
 
 
 def _as_side(g: CapGraph, side: Iterable[int]) -> frozenset[int]:
@@ -171,7 +183,7 @@ def enumerate_bruteforce(g: CapGraph, max_nodes: int = 24) -> CutFamily:
 # frontier dynamic programme
 
 
-def enumerate_flow(g: CapGraph) -> CutFamily:
+def enumerate_flow(g: CapGraph) -> FrontierFamily:
     """Every small cut, by dynamic programming over a node-order frontier.
 
     The name is historical: this once was a max-flow branch-and-bound, and
@@ -181,9 +193,12 @@ def enumerate_flow(g: CapGraph) -> CutFamily:
     nodes, the boundary ``b`` decided so far and whether any node is on side
     1.  States with ``b >= lam`` are dropped, since ``b`` never falls.  Every
     path from the start to a final state with the flag set is one cut of
-    capacity ``b``, and distinct paths are distinct cuts; the backward walk
-    from those states follows predecessor lists on an explicit stack over one
-    shared side array, so it meets no dead end and no recursion limit.
+    capacity ``b``, and distinct paths are distinct cuts.
+
+    This is the forward pass only: it keeps each state's predecessor list
+    and counts the paths into each state, so the returned family knows its
+    size and can count its cuts within a layered automaton without building
+    a side.  Its cuts are walked back from the final states on first use.
 
     The work grows as ``2**width``, where the width is the largest number of
     open nodes; a graph wider than ``MAX_FRONTIER_WIDTH`` raises
@@ -213,8 +228,10 @@ def enumerate_flow(g: CapGraph) -> CutFamily:
 
     # states: the (sides, b, flag) keys after the latest node, in the order
     # of preds[v], whose entries are (v - 1, state index after v - 1, side of
-    # v).  Node 1 is always on side 0.
+    # v); paths[i]: the number of paths from the start into state i.  Node 1
+    # is always on side 0.
     states = [((0,) * len(frontiers[1]), 0, 0)]
+    paths = [1]
     preds: list[list[list[tuple[int, int, int]]]] = [[], [[]]]
     for v in range(2, n + 1):
         before = frontiers[v - 1]
@@ -223,37 +240,115 @@ def enumerate_flow(g: CapGraph) -> CutFamily:
         keep = [len(before) if u == v else pos[u] for u in frontiers[v]]
         index: dict[tuple[tuple[int, ...], int, int], int] = {}
         back: list[list[tuple[int, int, int]]] = []
+        into: list[int] = []
+        total = sum(lower[v].values())
         for j, (sides, b, flag) in enumerate(states):
-            for s in (0, 1):
-                nb = b + sum(c for i, c in weights if sides[i] != s)
+            # the capacity from v to open nodes on side 1, then on side 0
+            ones = sum(c for i, c in weights if sides[i])
+            for s, cross in ((0, ones), (1, total - ones)):
+                nb = b + cross
                 if nb >= lam:
                     continue
                 full = (*sides, s)
-                key = (tuple(full[i] for i in keep), nb, flag | s)
+                key = (tuple([full[i] for i in keep]), nb, flag | s)
                 at = index.setdefault(key, len(back))
                 if at == len(back):
-                    back.append([])
-                back[at].append((v - 1, j, s))
-        states = list(index)
+                    back.append([(v - 1, j, s)])
+                    into.append(paths[j])
+                else:
+                    back[at].append((v - 1, j, s))
+                    into[at] += paths[j]
+        states, paths = list(index), into
         preds.append(back)
+    size = sum(p for (_, _, flag), p in zip(states, paths) if flag)
+    return FrontierFamily(lam, preds, tuple(states), size)
 
-    # side[u - 2]: the side of node u, for the nodes above the popped state;
-    # the last slot stands for the node n + 1 that does not exist.
-    side = [0] * n
-    others = range(2, n + 1)
-    found: list[Cut] = []
-    for last, (_, b, flag) in enumerate(states):
-        if not flag:
-            continue
-        stack = [(n, last, 0)]  # (v, state after v, side of node v + 1)
-        while stack:
-            v, i, s = stack.pop()
-            side[v - 1] = s
-            if v == 1:
-                found.append(Cut(side=frozenset(compress(others, side)), capacity=b))
-            else:
-                stack.extend(preds[v][i])
-    return CutFamily.collect(found, lam)
+
+class FrontierFamily(CutFamily):
+    """The small cuts of a graph held as the frontier DP's DAG.
+
+    ``len`` is the forward pass's count of accepting paths, and
+    ``count_accepted`` counts them within a layered automaton; neither
+    builds a side.  ``cuts``, and with it iteration, ``sides`` and
+    membership, walks the DAG back once on first use and keeps the result.
+    """
+
+    def __init__(
+        self,
+        lam: int,
+        preds: list[list[list[tuple[int, int, int]]]],
+        final: tuple[tuple[tuple[int, ...], int, int], ...],
+        size: int,
+    ) -> None:
+        # preds and final are enumerate_flow's preds and last states; size
+        # is the number of its accepting paths
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "_preds", preds)
+        object.__setattr__(self, "_final", final)
+        object.__setattr__(self, "_size", size)
+
+    def __len__(self) -> int:
+        return self._size
+
+    @cached_property
+    def cuts(self) -> tuple[Cut, ...]:
+        """The cuts of the accepting paths, in ``CutFamily.collect`` order.
+
+        The walk follows predecessor lists on an explicit stack over one
+        shared side array, so it meets no dead end and no recursion limit;
+        it builds one side per cut, about n^2/2 node ids on a built
+        instance."""
+        preds, n = self._preds, len(self._preds) - 1
+        # side[u - 2]: the side of node u, for the nodes above the popped
+        # state; the last slot stands for the node n + 1 that does not exist.
+        side = [0] * n
+        others = range(2, n + 1)
+        found: list[Cut] = []
+        for last, (_, b, flag) in enumerate(self._final):
+            if not flag:
+                continue
+            stack = [(n, last, 0)]  # (v, state after v, side of node v + 1)
+            while stack:
+                v, i, s = stack.pop()
+                side[v - 1] = s
+                if v == 1:
+                    found.append(Cut(side=frozenset(compress(others, side)), capacity=b))
+                else:
+                    stack.extend(preds[v][i])
+        return CutFamily.collect(found, self.lam).cuts
+
+    def count_accepted(
+        self, start: Hashable, step: Callable[[int, Hashable, int], Hashable | None]
+    ) -> dict[Hashable, int]:
+        """How many cuts drive a deterministic layered automaton to each state.
+
+        The automaton reads the side of each node 2..n in index order:
+        ``start`` is its state after node 1 (always on side 0), and
+        ``step(v, state, side)`` its state after node v, or None when it
+        rejects.  One pass over the predecessor lists carries, for each DP
+        state, the number of paths into it that end in each automaton state;
+        no capacity is summed and no side is built.  Returns, over the
+        accepting final states, the number of cuts that end in each
+        automaton state.
+        """
+        layer: list[dict[Hashable, int]] = [{start: 1}]
+        for v in range(2, len(self._preds)):
+            after: list[dict[Hashable, int]] = []
+            for back in self._preds[v]:
+                counts: dict[Hashable, int] = {}
+                for _, j, s in back:
+                    for a, c in layer[j].items():
+                        b = step(v, a, s)
+                        if b is not None:
+                            counts[b] = counts.get(b, 0) + c
+                after.append(counts)
+            layer = after
+        ends: dict[Hashable, int] = {}
+        for (_, _, flag), counts in zip(self._final, layer):
+            if flag:
+                for a, c in counts.items():
+                    ends[a] = ends.get(a, 0) + c
+        return ends
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,32 @@ def _paths_from_links(k: int, n: int, links: tuple[Link, ...]) -> PathSystem:
     return PathSystem(paths=tuple(paths), assignment=assignment)
 
 
+def _int(value: Any, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _list(doc: dict[str, Any], key: str) -> list[Any]:
+    value = doc[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
+def _int_rows(doc: dict[str, Any], key: str, width: int) -> list[tuple[int, ...]]:
+    """The list ``doc[key]`` read as rows of ``width`` integers."""
+    rows = []
+    for i, row in enumerate(_list(doc, key)):
+        if not isinstance(row, list) or len(row) != width:
+            raise ValueError(f"{key}[{i}] must be a list of {width} integers, got {row!r}")
+        rows.append(tuple(_int(x, f"{key}[{i}]") for x in row))
+    return rows
+
+
 def instance_from_doc(doc: dict[str, Any]) -> Instance:
+    """The instance a document describes; a malformed document, of any
+    shape, is a ValueError that names the offending field."""
     if not isinstance(doc, dict):
         raise ValueError(f"instance document must be an object, got {type(doc).__name__}")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -97,25 +122,22 @@ def instance_from_doc(doc: dict[str, Any]) -> Instance:
     for key in ("k", "n", "m", "lambda", "edges", "qsets", "links", "xstar"):
         if key not in doc:
             raise ValueError(f"instance document has no {key!r} key")
-    k = int(doc["k"])
-    n = int(doc["n"])
+    k, n, m, lam = (_int(doc[key], repr(key)) for key in ("k", "n", "m", "lambda"))
     graph = CapGraph(
-        n=n,
-        edges=tuple(Edge(int(a), int(b), int(c)) for a, b, c in doc["edges"]),
-        lam=int(doc["lambda"]),
+        n=n, edges=tuple(Edge(*e) for e in _int_rows(doc, "edges", 3)), lam=lam
     )
     qsets = tuple(
-        QSet(j, int(first), int(last))
-        for j, (first, last) in enumerate(doc["qsets"], start=1)
+        QSet(j, first, last)
+        for j, (first, last) in enumerate(_int_rows(doc, "qsets", 2), start=1)
     )
-    links = tuple(Link(int(i), int(a), int(b), int(p)) for i, a, b, p in doc["links"])
+    links = tuple(Link(*l) for l in _int_rows(doc, "links", 4))
     xstar: list[Fraction] = []
-    for i, s in enumerate(doc["xstar"]):
+    for i, s in enumerate(_list(doc, "xstar")):
         try:
             xstar.append(parse_frac(s))
         except ValueError as exc:
             raise ValueError(f"xstar[{i}]: {exc}") from None
-    if len(xstar) != int(doc["m"]) or len(links) != int(doc["m"]):
+    if len(xstar) != m or len(links) != m:
         raise ValueError("m does not match links/xstar length")
     inst = Instance(
         k=k,

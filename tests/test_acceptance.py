@@ -5,6 +5,7 @@ bounds via perf_counter around the relevant computation) and prints a single
 PASS line when it holds.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -12,6 +13,7 @@ from fractions import Fraction
 import dataclasses
 import pytest
 
+from smallcuts import cli
 from smallcuts.certify import (
     CertificationError,
     full_reduction,
@@ -290,3 +292,25 @@ def test_criterion_9_threshold_failure_report():
     report = ", ".join(f"k={k}: {v}" for k, v in zip(CERTIFIED_K, values))
     print(f"ACCEPTANCE 9 PASS: max positive coordinate equals 1/k < 1/2 and "
           f"strictly decreases ({report})")
+
+
+def test_reach_k94_flow_certificate(tmp_path):
+    # the full verify path well past the benchmarked k, against closed forms:
+    # n = 2 + k(k-1)/2 nodes, m = n + k - 2 links and listed cuts, and
+    # det A = k 2^(k-2)
+    k = 94
+    n = 2 + k * (k - 1) // 2
+    m = n + k - 2
+    out = tmp_path / "cert.json"
+    started = time.perf_counter()
+    assert cli.main(["verify", "-k", str(k), "--strategy", "flow", "--out", str(out)]) == 0
+    elapsed = time.perf_counter() - started
+    doc = json.loads(out.read_text())
+    assert (n, m) == (4373, 4465)
+    assert doc["family_exact"] is True and doc["is_basic"] is True and doc["reduction_ok"] is True
+    assert doc["family_size"] == doc["rank_A"] == m
+    assert doc["det_A"] == str(k * 2 ** (k - 2))
+    assert doc["max_coordinate"] == f"1/{k}"
+    assert elapsed < 30.0
+    print(f"REACH PASS: verify -k {k} --strategy flow certifies {m} cuts and "
+          f"rank {m} ({elapsed:.3f}s)")

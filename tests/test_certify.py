@@ -2,15 +2,17 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from smallcuts import certify, cli, construction, exactmath
+from smallcuts import certify, cli, construction, cuts, exactmath
 from smallcuts.certify import (
     CertificationError,
+    FamilySizeError,
     bracketing_prefixes,
     certify_instance,
     coverage,
+    family_walk_budget,
     full_reduction,
     listed_capacity_table,
     matrix_consistent,
@@ -28,7 +30,7 @@ from smallcuts.construction import (
 from smallcuts.cuts import Cut, CutFamily, enumerate_bruteforce, enumerate_flow
 from smallcuts.exactmath import IntMatrix, det_bareiss
 
-from oracles import rational_det, rational_rank, rational_solve_unique
+from oracles import rational_det, rational_rank, rational_solve_unique, scan_small_cuts
 from test_acceptance import reduced_matrix
 
 
@@ -175,6 +177,123 @@ class TestVerifyFamily:
                 failures.append(f"coverage:{sorted(s)}")
         cert = verify_basic(inst, family)
         assert (cert.missing, cert.surplus, cert.failures) == (missing, surplus, tuple(failures))
+
+
+@st.composite
+def mutated_graphs(draw, g):
+    """``g`` after one to three mutations: a capacity change, a moved edge
+    end, or an extra edge."""
+    Edge = construction.Edge
+    edges = list(g.edges)
+    node = st.integers(1, g.n)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("capacity", "move", "extra")))
+        if kind == "extra":
+            edges.append(Edge(draw(node), draw(node), draw(st.integers(1, 3))))
+            continue
+        i = draw(st.integers(0, len(edges) - 1))
+        lo, hi, cap = edges[i]
+        if kind == "capacity":
+            edges[i] = Edge(lo, hi, draw(st.integers(0, 6)))
+        elif draw(st.booleans()):
+            edges[i] = Edge(draw(node), hi, cap)
+        else:
+            edges[i] = Edge(lo, draw(node), cap)
+    return dataclasses.replace(g, edges=tuple(edges))
+
+
+def _listed_count(inst, family):
+    """The cuts of a frontier family that the listed-side automaton accepts."""
+    return sum(family.count_accepted(certify.BEFORE, certify._listed_automaton(inst)).values())
+
+
+class TestCountingVerdict:
+    """``verify_family`` on a frontier family compares counts, not sides."""
+
+    @pytest.mark.parametrize("k", (4, 6))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_plain_set_comparison_on_mutated_graphs(self, k, data):
+        inst = build_instance(k)
+        g = data.draw(mutated_graphs(inst.graph))
+        try:
+            family = enumerate_flow(g)
+        except ValueError as exc:  # a moved end may disconnect the graph
+            assert "not connected" in str(exc)
+            assume(False)
+        mutated = dataclasses.replace(inst, graph=g)
+        if len(family) > family_walk_budget(mutated):
+            with pytest.raises(FamilySizeError, match=f"has {len(family)} cuts"):
+                verify_family(mutated, family)
+            check = None
+        else:
+            check = verify_family(mutated, family)
+        listed = {side for _, side in listed_small_cuts(inst)}
+        sides = family.sides()
+        assert _listed_count(mutated, family) == len(sides & listed)
+        if check is not None:
+            assert check.ok == (sides == listed)
+            assert check.missing == tuple(sorted(listed - sides, key=sorted))
+            assert check.surplus == tuple(sorted(sides - listed, key=sorted))
+        else:
+            assert sides != listed
+
+    @pytest.mark.parametrize("j", (0, 2, 4))
+    @pytest.mark.parametrize("first, last", ((0, 1), (0, -1), (1, 0), (-1, 0)))
+    def test_shifted_interval_is_not_listed(self, inst6, family6, j, first, last):
+        # interval j moves by one node at one end, so the family holds the
+        # run first..last+1 (or first-1..last, ...) of the moved interval:
+        # an automaton that accepts any run, or is off by one at either end
+        # of an interval, would count it as listed
+        q = inst6.qsets[j]
+        qsets = list(inst6.qsets)
+        qsets[j] = q._replace(first=q.first + first, last=q.last + last)
+        moved = dataclasses.replace(inst6, qsets=tuple(qsets))
+        listed = {side for _, side in listed_small_cuts(moved)}
+        assert _listed_count(moved, family6) == len(family6.sides() & listed) == len(family6) - 1
+        assert not verify_family(moved, family6).ok
+        assert not verify_family(moved, CutFamily.collect(family6, family6.lam)).ok
+
+    @pytest.mark.parametrize("k", (4, 6))
+    @pytest.mark.parametrize("lowered", ("all", "two links"))
+    def test_under_covered_cuts_named_like_an_explicit_family(self, k, lowered):
+        # an exact family proved by counting names its under-covered cuts
+        # in the same order as the same family given explicitly
+        inst = build_instance(k)
+        xs = list(inst.xstar)
+        for f in range(inst.m) if lowered == "all" else (0, k + 2):
+            xs[f] = xs[f] / 2
+        point = dataclasses.replace(inst, xstar=tuple(xs))
+        counted = certify_instance(point, enumerate_flow(inst.graph))
+        explicit = certify_instance(point, CutFamily.collect(enumerate_flow(inst.graph), 5))
+        assert counted == explicit
+        assert not counted.feasible and counted.family_exact
+        assert any(f.startswith("coverage:") for f in counted.failures)
+
+    def test_disagreeing_family_within_the_budget_is_named(self, inst4):
+        g = dataclasses.replace(inst4.graph, lam=6)
+        family = enumerate_flow(g)
+        listed = {side for _, side in listed_small_cuts(inst4)}
+        found = set(scan_small_cuts(g.n, g.edges, g.lam))
+        assert 10 < len(found) <= family_walk_budget(inst4) == 20
+        check = verify_family(dataclasses.replace(inst4, graph=g), family)
+        assert not check.ok and check.missing == ()
+        assert check.surplus == tuple(sorted(found - listed, key=sorted))
+
+    def test_family_past_the_budget_names_both_counts(self, inst4, monkeypatch):
+        g = dataclasses.replace(inst4.graph, lam=7)
+        family = enumerate_flow(g)
+        found = set(scan_small_cuts(g.n, g.edges, g.lam))
+        within = len(found & {side for _, side in listed_small_cuts(inst4)})
+        assert len(found) > family_walk_budget(inst4)
+
+        def walked(self):
+            raise AssertionError("a side was built")
+
+        monkeypatch.setattr(cuts.FrontierFamily, "cuts", property(walked))
+        message = f"has {len(found)} cuts, {within} of them listed, against 10 listed cuts"
+        with pytest.raises(FamilySizeError, match=message):
+            verify_family(dataclasses.replace(inst4, graph=g), family)
 
 
 class TestVerifyBasic:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from smallcuts.construction import CapGraph, Edge, build_instance, listed_small_cuts
 from smallcuts.cuts import (
     BruteForceSizeError,
+    CutFamily,
     canonical_cut,
     cut_capacity,
     enumerate_bruteforce,
@@ -243,6 +244,46 @@ class TestFlowEnumeration:
         g = CapGraph(n=40, edges=tuple(Edge(i, 40, 1) for i in range(1, 40)), lam=5)
         with pytest.raises(BruteForceSizeError, match="width 39"):
             enumerate_flow(g)
+
+    @pytest.mark.parametrize("k", range(4, 26, 2))
+    def test_count_is_the_walked_size(self, k):
+        fam = enumerate_flow(build_instance(k).graph)
+        count = len(fam)  # read before the walk
+        assert count == len(fam.cuts) == len(fam.sides()) == len(list(fam))
+
+    @given(multigraphs(max_n=9))
+    @settings(max_examples=60, deadline=None)
+    def test_count_matches_subset_scan_oracle(self, g):
+        fam = enumerate_flow(g)
+        assert len(fam) == len(scan_small_cuts(g.n, g.edges, g.lam))
+
+    @given(multigraphs(max_n=9), st.integers(2, 9), st.integers(2, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_count_accepted_counts_each_cut_once(self, g, lo, hi):
+        # an automaton that tracks whether node lo and node hi are on side 1
+        # ends in state (a, b) once for every cut with that pair of sides
+        def step(v, state, s):
+            return (state[0] or (s == 1 and v == lo), state[1] or (s == 1 and v == hi))
+
+        ends = enumerate_flow(g).count_accepted((False, False), step)
+        want = {}
+        for side in scan_small_cuts(g.n, g.edges, g.lam):
+            key = (lo in side, hi in side)
+            want[key] = want.get(key, 0) + 1
+        assert {k: c for k, c in ends.items() if c} == want
+
+    def test_count_accepted_rejects_with_none(self, inst4):
+        # None rejects; a falsy state such as 0 does not
+        fam = enumerate_flow(inst4.graph)
+        assert fam.count_accepted(0, lambda v, state, s: 0) == {0: len(fam)}
+        assert fam.count_accepted(0, lambda v, state, s: None if s else 0) == {}
+
+    def test_sides_built_once(self, inst4):
+        fam = enumerate_flow(inst4.graph)
+        assert fam.sides() is fam.sides()
+        assert inst4.qset_side(1) in fam and frozenset({3}) not in fam
+        listed = CutFamily.collect(fam, fam.lam)
+        assert listed.sides() is listed.sides() and listed.sides() == fam.sides()
 
     def test_k48_family_is_the_listed_one(self):
         inst = build_instance(48)

@@ -8,7 +8,7 @@ import pytest
 
 from smallcuts import __version__, certify, cli, cuts
 from smallcuts.certify import certify_instance, verify_basic
-from smallcuts.construction import build_incidence_matrix, build_instance
+from smallcuts.construction import build_incidence_matrix, build_instance, listed_small_cuts
 from smallcuts.cuts import CutFamily, enumerate_bruteforce, enumerate_flow
 from smallcuts.formats import (
     certificate_to_doc,
@@ -21,6 +21,8 @@ from smallcuts.formats import (
     write_dot_links,
     write_lp,
 )
+
+from oracles import scan_small_cuts
 
 # --- tiny independent parsers used as oracles -------------------------------
 
@@ -141,6 +143,39 @@ class TestInstanceDoc:
         for doc in ([], "{}", None, 4):
             with pytest.raises(ValueError, match="must be an object"):
                 instance_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        (
+            ("edges", None, "'edges' must be a list"),
+            ("k", None, "'k' must be an integer"),
+            ("links", None, "'links' must be a list"),
+            ("qsets", {"1": [2, 3]}, "'qsets' must be a list"),
+            ("xstar", "1/4", "'xstar' must be a list"),
+            ("lambda", 5.0, "'lambda' must be an integer"),
+        ),
+    )
+    def test_wrongly_typed_field_named(self, key, value, message):
+        doc = instance_to_doc(build_instance(4))
+        doc[key] = value
+        with pytest.raises(ValueError, match=message):
+            instance_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "key, index, row, message",
+        (
+            ("edges", 0, [1, 2], r"edges\[0\] must be a list of 3 integers"),
+            ("edges", 2, [1, 2, "3"], r"edges\[2\] must be an integer"),
+            ("qsets", 1, 4, r"qsets\[1\] must be a list of 2 integers"),
+            ("links", 3, [4, 1, 5, None], r"links\[3\] must be an integer"),
+            ("links", 0, [1, 1, 2, 1, 0], r"links\[0\] must be a list of 4 integers"),
+        ),
+    )
+    def test_wrongly_shaped_row_named(self, key, index, row, message):
+        doc = instance_to_doc(build_instance(4))
+        doc[key][index] = row
+        with pytest.raises(ValueError, match=message):
+            instance_from_doc(doc)
 
 
 # --- LP export ---------------------------------------------------------------
@@ -397,6 +432,58 @@ class TestCli:
         assert len(want["traces"]) == k - 1
         doc.pop("elapsed_seconds"), want.pop("elapsed_seconds")
         assert doc == json.loads(dump_json(want))
+
+    def test_exact_flow_family_builds_no_side(self, tmp_path, monkeypatch):
+        # on the verify path family exactness is proved by counting alone:
+        # no walk, no Cut, no side shapes, no collected family
+        def refused(*args, **kwargs):
+            raise AssertionError("a side was built")
+
+        monkeypatch.setattr(cuts.FrontierFamily, "cuts", property(refused))
+        monkeypatch.setattr(cuts, "Cut", refused)
+        monkeypatch.setattr(cuts.CutFamily, "collect", refused)
+        monkeypatch.setattr(certify, "_listed_rows", refused)
+        monkeypatch.setattr(certify, "_family_check", refused)
+        out = tmp_path / "cert.json"
+        assert cli.main(["verify", "-k", "28", "--strategy", "flow", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["family_size"] == 406 == 2 + 28 * 27 // 2 + 28 - 2
+        assert doc["family_exact"] is True and doc["is_basic"] is True
+
+    def _lifted(self, monkeypatch, lam):
+        # the k=4 instance with its threshold raised to ``lam``, so the
+        # frontier family holds cuts beyond the listed ones
+        real_build = cli.build_instance
+
+        def lifted(k):
+            inst = real_build(k)
+            return dataclasses.replace(inst, graph=dataclasses.replace(inst.graph, lam=lam))
+
+        monkeypatch.setattr(cli, "build_instance", lifted)
+        g = lifted(4).graph
+        return set(scan_small_cuts(g.n, g.edges, g.lam))
+
+    def test_surplus_flow_cuts_named(self, tmp_path, monkeypatch, capsys):
+        found = self._lifted(monkeypatch, 6)
+        listed = {side for _, side in listed_small_cuts(build_instance(4))}
+        out = tmp_path / "cert.json"
+        assert cli.main(["verify", "-k", "4", "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["family_exact"] is False and doc["family_size"] == len(found) == 18
+        assert doc["missing_cuts"] == []
+        assert doc["surplus_cuts"] == sorted(sorted(s) for s in found - listed)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_flow_family_past_the_budget_exits_two(self, tmp_path, monkeypatch, capsys):
+        found = self._lifted(monkeypatch, 7)
+        listed = {side for _, side in listed_small_cuts(build_instance(4))}
+        assert len(found) == 26 > 2 * 10
+        out = tmp_path / "cert.json"
+        assert cli.main(["verify", "-k", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"has 26 cuts, {len(found & listed)} of them listed, against 10 listed cuts" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_verify_doc_written_before_exit_check(self, tmp_path):
         # even a passing run writes the document
