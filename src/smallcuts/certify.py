@@ -7,10 +7,11 @@ cut/link incidence matrix has full rank (so the point is a vertex of the LP).
 The rank is proved by an executable replay of the rank argument: explicit
 row operations reduce the interval-cut rows to path indicator rows, which
 also gives the determinant from that of the (k-1) x (k-1) circulant.  The
-replay works on sparse rows, the link sets of ``Instance.cut_links``, in
-O(k) per row operation.  The dense m x m matrix ``A`` is built, and
-eliminated by Bareiss, only in ``verify_basic``: for callers without a
-replay, and after a replay fails.
+replay works on 0/1 rows held as link sets, those of ``Instance.cut_links``:
+each row operation is one set operation, computed once and accepted only
+under the exact identity that makes it that row operation.  The dense
+m x m matrix ``A`` is built, and eliminated by Bareiss, only in
+``verify_basic``: for callers without a replay, and after a replay fails.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .construction import (
     Instance,
@@ -356,79 +357,63 @@ def _nested_row(inst: Instance, i: int) -> int:
     return (inst.k - 1) + (i - 1)
 
 
-Row = dict[int, int]  # link id -> nonzero entry of one incidence row
-
-
-def _sparse_rows(inst: Instance, matrix: IntMatrix | None) -> list[Row]:
-    """The incidence rows as maps from link id to nonzero entry: the
-    indicators of ``inst.cut_links``, or the rows of ``matrix`` read once
-    after its shape is checked."""
+def _link_rows(inst: Instance, matrix: IntMatrix | None) -> Sequence[frozenset[int]]:
+    """The incidence rows as 0/1 link sets: ``inst.cut_links``, or the rows
+    of ``matrix``, read once after its shape and entries are checked."""
     m = inst.m
     if matrix is None:
-        return [dict.fromkeys(links, 1) for links in inst.cut_links]
+        return inst.cut_links
     if matrix.rows != m or matrix.cols != m:
         raise ValueError(f"matrix must be {m}x{m}")
     entries = matrix.entries
-    return [
-        {c + 1: x for c, x in enumerate(entries[r * m : (r + 1) * m]) if x}
-        for r in range(m)
-    ]
+    if not set(entries) <= {0, 1}:
+        raise CertificationError("matrix has an entry outside {0, 1}")
+    return [frozenset(c + 1 for c in range(m) if entries[r * m + c]) for r in range(m)]
 
 
-def _sub_add(row: Row, sub: Row, add: Row) -> Row:
-    """``row - sub + add``; a zero entry drops its key, so equal maps are
-    equal rows."""
-    out = dict(row)
-    for sign, other in ((-1, sub), (1, add)):
-        for l, x in other.items():
-            v = out.get(l, 0) + sign * x
-            if v:
-                out[l] = v
-            else:
-                del out[l]
-    return out
-
-
-def _split(inst: Instance, j: int, rows: list[Row]) -> frozenset[int]:
+def _split(inst: Instance, j: int, rows: Sequence[frozenset[int]]) -> frozenset[int]:
     low, high = bracketing_prefixes(inst, j)
-    vec = _sub_add(rows[j - 1], rows[_nested_row(inst, high)], rows[_nested_row(inst, low)])
+    q, h, l = rows[j - 1], rows[_nested_row(inst, high)], rows[_nested_row(inst, low)]
+    # On 0/1 rows, q - h + l is twice the indicator of q & l iff h == q ^ l.
+    if h != q ^ l:
+        raise CertificationError(
+            f"interval row {j}: prefix row {high} is not the symmetric difference "
+            f"of the interval row and prefix row {low}"
+        )
+    halved = q & l
     expected = inst.qcut_links(j) & inst.nested_cut_links(low)
-    if vec != dict.fromkeys(expected, 2):
+    if halved != expected:
         raise CertificationError(
-            f"interval row {j}: difference vector is not twice the indicator "
-            f"of {sorted(expected)} (got {sorted(vec.items())})"
+            f"interval row {j}: split leaves {sorted(halved)}, not {sorted(expected)}"
         )
-    if len(expected) != inst.k // 2:
+    if len(halved) != inst.k // 2:
         raise CertificationError(
-            f"interval row {j}: expected {inst.k // 2} links, got {len(expected)}"
+            f"interval row {j}: expected {inst.k // 2} links, got {len(halved)}"
         )
-    if inst.k in expected:
+    if inst.k in halved:
         raise CertificationError("source-sink link cannot leave an interval cut")
-    return expected
+    return halved
 
 
 def reduce_qcut_row(inst: Instance, j: int, matrix: IntMatrix | None = None) -> frozenset[int]:
     """Split interval row j: subtracting the covering prefix row and adding
     the disjoint prefix row leaves twice the indicator of the k/2 links that
-    leave the interval downward.  Returns that link set.  The rows are those
-    of ``matrix`` when given, else the instance's incidence rows."""
-    return _split(inst, j, _sparse_rows(inst, matrix))
+    leave the interval downward.  Returns that link set.  The rows are the
+    0/1 link sets of ``matrix`` when given, else of ``inst.cut_links``: the
+    split is checked as ``h == q ^ l`` and ``q & l`` as the instance's
+    predicted set."""
+    return _split(inst, j, _link_rows(inst, matrix))
 
 
-def push_to_source(
-    inst: Instance, links: Iterable[int]
+def _move_loop(
+    inst: Instance, rows: Sequence[frozenset[int]], links: Iterable[int]
 ) -> tuple[frozenset[int], tuple[MoveStep, ...]]:
-    """Row-operation loop moving a half-cut link set into the source links.
-
-    ``links`` must be k/2 links, none of them the source-sink link, jointly
-    contained in some prefix cut.  Each step swaps the link set for its
-    complement within two prefix cuts, preserving the set of paths touched
-    and strictly decreasing the containing prefix index; the loop ends when
-    all links are incident to node 1.  The returned link set is that of the
-    last step, or ``links`` when no step is needed.
-    """
+    """``push_to_source`` on the given rows.  A move takes the current set
+    ``cur`` to ``add - (sub - cur)`` for the rows ``sub`` and ``add`` of two
+    prefix cuts; on 0/1 rows that is the row ``cur - sub + add`` iff
+    ``cur <= sub`` and ``sub - cur <= add``, so both are checked."""
     current = frozenset(links)
-    k, by_id, cut_links = inst.k, inst.links, inst.cut_links
+    k, by_id = inst.k, inst.links
     if len(current) != k // 2:
         raise ValueError(f"need exactly {k // 2} links, got {len(current)}")
     if k in current:
@@ -438,20 +423,19 @@ def push_to_source(
     if high >= min(inst.link(l).hi for l in current):
         raise ValueError("link set is not contained in any prefix cut")
     moves: list[MoveStep] = []
-    steps = 0
     while high > 1:
-        steps += 1
-        if steps > inst.n:
-            raise RuntimeError("push-to-source failed to terminate; construction bug")
-        # prefix cut i is row k-2+i of cut_links; link l is by_id[l - 1]
-        complement = cut_links[k - 2 + high] - current
+        # prefix cut i is row k-2+i; link l is by_id[l - 1]
+        sub = rows[k - 2 + high]
+        if not current <= sub:
+            raise CertificationError(f"link set {sorted(current)} not inside prefix cut {high}")
+        complement = sub - current
         low = max(by_id[l - 1].lo for l in complement)
-        cut_low = cut_links[k - 2 + low]
-        if not complement <= cut_low:
+        add = rows[k - 2 + low]
+        if not complement <= add:
             raise CertificationError(
                 f"complement set {sorted(complement)} not inside prefix cut {low}"
             )
-        new = cut_low - complement
+        new = add - complement
         if frozenset(by_id[l - 1].path for l in new) != paths:
             raise CertificationError(
                 f"move {high}->{low} changed the touched paths "
@@ -465,23 +449,40 @@ def push_to_source(
     return current, tuple(moves)
 
 
+def push_to_source(
+    inst: Instance, links: Iterable[int]
+) -> tuple[frozenset[int], tuple[MoveStep, ...]]:
+    """Row-operation loop moving a half-cut link set into the source links.
+
+    ``links`` must be k/2 links, none of them the source-sink link, jointly
+    contained in some prefix cut.  Each step swaps the link set for its
+    complement within two prefix cuts of ``inst.cut_links``, preserving the
+    set of paths touched and strictly decreasing the containing prefix
+    index; the loop ends when all links are incident to node 1.  The
+    returned link set is that of the last step, or ``links`` when no step
+    is needed.
+    """
+    return _move_loop(inst, inst.cut_links, links)
+
+
 def full_reduction(inst: Instance, matrix: IntMatrix | None = None) -> list[ReductionTrace]:
     """Reduce every interval-cut row of the incidence matrix to a path
     indicator row, verify the resulting block shape, and return the traces.
 
-    The rows are sparse maps from link id to nonzero entry, taken from
-    ``inst.cut_links`` or, when ``matrix`` is given, read once from it; no
-    m x m matrix is built.  Each split and each move is an O(k) update of
-    one interval row, checked entry for entry against its set-level
-    prediction, so a single flipped entry in any participating row aborts
-    the replay.  After the replay each interval row j must be column j of
-    the path/interval circulant over the source links 1..k-1 (the top rows
-    are ``[C^T, 0]``), and each prefix row must have entry 1 on the
-    diagonal and none right of it (the prefix block is unit lower
-    triangular).  The replay ends by checking that the circulant is
-    nonsingular; with the block shape that gives rank m.
+    The rows are the 0/1 link sets of ``inst.cut_links`` or, when
+    ``matrix`` is given, read once from it (an entry outside {0, 1}
+    aborts); no m x m matrix is built.  The split (``_split``) and the
+    moves (``_move_loop``, the loop of ``push_to_source``) are set
+    operations on one interval row, each checked by the identity that makes
+    it a row operation, so a single flipped entry in any row they read
+    aborts the replay.  Then each interval row j must be column j of the
+    path/interval circulant over the source links 1..k-1 (the top rows are
+    ``[C^T, 0]``), and each prefix row must have entry 1 on the diagonal
+    and none right of it (the prefix block is unit lower triangular).  The
+    replay ends by checking that the circulant is nonsingular; with the
+    block shape that gives rank m.
     """
-    rows = _sparse_rows(inst, matrix)
+    rows = _link_rows(inst, matrix)
     k, m = inst.k, inst.m
     circulant = build_circulant(k)
     traces: list[ReductionTrace] = []
@@ -490,20 +491,10 @@ def full_reduction(inst: Instance, matrix: IntMatrix | None = None) -> list[Redu
         # _split checked that the split is twice the indicator of
         # ``halved``; halving it leaves that indicator.
         halved = _split(inst, j, rows)
-        row = dict.fromkeys(halved, 1)
         try:
-            final, moves = push_to_source(inst, halved)
+            final, moves = _move_loop(inst, rows, halved)
         except (ValueError, RuntimeError) as exc:
             raise CertificationError(f"interval row {j}: {exc}") from exc
-        for step in moves:
-            sub = rows[_nested_row(inst, step.sub_nested)]
-            add = rows[_nested_row(inst, step.add_nested)]
-            row = _sub_add(row, sub, add)
-            if row != dict.fromkeys(step.links, 1):
-                raise CertificationError(
-                    f"interval row {j}: replayed move does not match link set "
-                    f"{sorted(step.links)}"
-                )
         paths = frozenset(inst.link(l).path for l in halved)
         column = frozenset(i for i in range(1, k) if circulant.at(i - 1, j - 1) == 1)
         if paths != column:
@@ -511,9 +502,9 @@ def full_reduction(inst: Instance, matrix: IntMatrix | None = None) -> list[Redu
                 f"interval row {j}: touched paths {sorted(paths)} differ from "
                 f"circulant column {sorted(column)}"
             )
-        if row != dict.fromkeys(column, 1):  # links 1..k-1 are indexed by their path
+        if final != column:  # links 1..k-1 are indexed by their path
             raise CertificationError(
-                f"interval row {j}: reduced row {sorted(row.items())} is not the "
+                f"interval row {j}: reduced row {sorted(final)} is not the "
                 f"indicator of the source links of paths {sorted(column)}"
             )
         traces.append(
@@ -529,7 +520,7 @@ def full_reduction(inst: Instance, matrix: IntMatrix | None = None) -> list[Redu
         )
     for r in range(k - 1, m):
         # prefix row r has its diagonal at column r, link id r + 1
-        if rows[r].get(r + 1) != 1:
+        if r + 1 not in rows[r]:
             raise CertificationError(f"prefix block diagonal entry {r - k + 1} is not one")
         if max(rows[r]) != r + 1:
             raise CertificationError(

@@ -526,6 +526,9 @@ class TestFullReduction:
             assert t.final == t.paths
             for step in t.moves:
                 assert step.sub_nested > step.add_nested
+            # push_to_source and the replay run one move loop
+            assert push_to_source(inst, t.halved) == (t.final, t.moves)
+        assert full_reduction(inst, matrix=build_incidence_matrix(inst)) == traces
 
     def test_moves_strictly_descend(self, inst6):
         traces = full_reduction(inst6)
@@ -540,6 +543,13 @@ class TestFullReduction:
         row[6] ^= 1
         with pytest.raises(CertificationError):
             full_reduction(inst4, matrix=a.with_row(1, row))
+        # the same flip in the interval row and its covering prefix row
+        # keeps h == q ^ l, but not the predicted set q & l
+        low, high = bracketing_prefixes(inst4, 1)
+        x = min(inst4.qcut_links(1) & inst4.nested_cut_links(low))
+        flipped = _flipped(a, [(0, x - 1), (inst4.k - 2 + high, x - 1)])
+        with pytest.raises(CertificationError, match="interval row 1: split leaves"):
+            full_reduction(inst4, matrix=flipped)
 
     def test_flipped_diagonal_aborts(self, inst4):
         a = build_incidence_matrix(inst4)
@@ -624,26 +634,42 @@ class TestFullReduction:
 
     @pytest.mark.parametrize("k", (4, 6))
     def test_prefix_diagonal_two_aborts(self, k):
-        # entries other than 0/1 are kept: a diagonal entry of 2 would
-        # double the determinant, so it must abort in every prefix row
+        # the replay's set identities hold on 0/1 rows only, so any other
+        # entry is refused, where or not a split or move reads it: a
+        # diagonal entry of 2 in any prefix row would double the
+        # determinant, and a 2 below the diagonal of an unread prefix row
+        # is one the block shape alone would accept
         inst = build_instance(k)
         a = build_incidence_matrix(inst)
-        for r in range(k - 1, inst.m):
+        traces = full_reduction(inst, matrix=a)
+        moved = next(s.sub_nested for t in traces for s in t.moves)
+        read = {i for t in traces for i in (t.add_nested, t.sub_nested)}
+        read |= {i for t in traces for s in t.moves for i in (s.add_nested, s.sub_nested)}
+        unread = k - 2 + min(i for i in range(1, inst.n) if i not in read)
+        entries = [(r, r, 2) for r in range(k - 1, inst.m)]
+        entries += [
+            (0, min(inst.qcut_links(1)) - 1, 2),  # an interval row
+            (k - 2 + moved, moved - 1, 2),  # a prefix row a move reads
+            (unread, unread - 1, 2),
+            (unread, unread - 1, -1),
+            (0, 0, -1),
+        ]
+        for r, c, x in entries:
             row = a.row(r)
-            row[r] = 2
+            row[c] = x
             with pytest.raises(CertificationError):
                 full_reduction(inst, matrix=a.with_row(r, row))
 
     def test_move_loop_stopping_early_aborts(self, inst4, monkeypatch):
         # moves that stop short of the source links leave a row that is not
-        # the circulant column, even when the reported final set agrees
-        real = certify.push_to_source
+        # the circulant column
+        real = certify._move_loop
 
-        def early(inst, links):
-            final, moves = real(inst, links)
+        def early(inst, rows, links):
+            final, moves = real(inst, rows, links)
             return (moves[0].links, moves[:1]) if moves else (final, moves)
 
-        monkeypatch.setattr(certify, "push_to_source", early)
+        monkeypatch.setattr(certify, "_move_loop", early)
         with pytest.raises(CertificationError, match="interval row 3: reduced row"):
             full_reduction(inst4)
 
@@ -660,10 +686,10 @@ class TestFullReduction:
     @pytest.mark.parametrize("error", (ValueError, RuntimeError))
     def test_push_to_source_error_aborts(self, inst4, family4, monkeypatch, error):
         # a bad instance may make the move loop raise; the replay stays total
-        def broken(inst, links):
+        def broken(inst, rows, links):
             raise error("no move from here")
 
-        monkeypatch.setattr(certify, "push_to_source", broken)
+        monkeypatch.setattr(certify, "_move_loop", broken)
         with pytest.raises(CertificationError, match="no move from here"):
             full_reduction(inst4)
         shapes = []

@@ -177,6 +177,31 @@ class TestInstanceDoc:
         with pytest.raises(ValueError, match=message):
             instance_from_doc(doc)
 
+    def test_single_field_mutations_are_total(self):
+        # every field of every edge, interval and link of the k=4 document,
+        # set to each other value in 0..8: the document is refused with a
+        # ValueError, or certified with verdicts that agree with themselves
+        base = instance_to_doc(build_instance(4))
+        outcomes = Counter()
+        for key in ("qsets", "links", "edges"):
+            for i, entry in enumerate(base[key]):
+                for field, old in enumerate(entry):
+                    for value in set(range(9)) - {old}:
+                        doc = json.loads(json.dumps(base))
+                        doc[key][i][field] = value
+                        try:
+                            inst = instance_from_doc(doc)
+                        except ValueError:
+                            outcomes["refused"] += 1
+                            continue
+                        cert = certify_instance(inst, enumerate_flow(inst.graph))
+                        case = (key, i, field, value)
+                        assert cert.is_basic == (not cert.failures), case
+                        assert (cert.reduction_ok is False) == (cert.reduction_error is not None), case
+                        outcomes["basic" if cert.is_basic else "not basic"] += 1
+        assert sum(outcomes.values()) == 610
+        assert outcomes["refused"] and outcomes["not basic"]
+
 
 # --- LP export ---------------------------------------------------------------
 
@@ -359,10 +384,10 @@ class TestCli:
 
     @pytest.mark.parametrize("error", (ValueError, RuntimeError))
     def test_replay_error_exits_one(self, tmp_path, monkeypatch, capsys, error):
-        def broken(inst, links):
+        def broken(inst, rows, links):
             raise error("no move from here")
 
-        monkeypatch.setattr(certify, "push_to_source", broken)
+        monkeypatch.setattr(certify, "_move_loop", broken)
         out = tmp_path / "cert.json"
         assert cli.main(["verify", "-k", "4", "--out", str(out)]) == 1
         assert json.loads(out.read_text())["reduction_ok"] is False
