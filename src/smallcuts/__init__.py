@@ -33,12 +33,10 @@ from .construction import (
     Edge,
     Instance,
     Link,
-    PathSystem,
     QSet,
     build_circulant,
     build_incidence_matrix,
     build_instance,
-    build_path_system,
     e2_endpoints,
     edge_capacity,
     listed_small_cuts,
@@ -72,7 +70,6 @@ __all__ = [
     "IntMatrix",
     "Link",
     "MoveStep",
-    "PathSystem",
     "QSet",
     "Rat",
     "ReductionTrace",
@@ -80,7 +77,6 @@ __all__ = [
     "build_circulant",
     "build_incidence_matrix",
     "build_instance",
-    "build_path_system",
     "canonical_cut",
     "certify_instance",
     "coverage",

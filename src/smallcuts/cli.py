@@ -83,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--strategy", choices=["brute", "flow", "both"], default="flow",
         help="flow (default): frontier dynamic programme, for graphs of "
-        "frontier width <= 16; brute: exhaustive scan under "
-        "--max-brute-nodes; both: run the two and cross-check",
+        "frontier width <= 16; brute: exhaustive scan, for graphs of "
+        "at most 24 nodes (k <= 6); both: run the two and cross-check",
     )
     p_verify.add_argument(
         "--trials", type=int, default=None,
@@ -92,10 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "trials (at least 1)",
     )
     p_verify.add_argument("--seed", type=int, default=0, help="probe seed")
-    p_verify.add_argument(
-        "--max-brute-nodes", type=int, default=24,
-        help="node budget for the exhaustive scan",
-    )
     p_verify.add_argument(
         "--trace", action="store_true", help="include reduction traces in the output"
     )
@@ -135,9 +131,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     families = {}
     if args.strategy in ("brute", "both"):
-        families["brute"] = enumerate_bruteforce(
-            inst.graph, max_nodes=args.max_brute_nodes
-        )
+        families["brute"] = enumerate_bruteforce(inst.graph)
     if args.strategy in ("flow", "both"):
         families["flow"] = enumerate_flow(inst.graph)
     strategies_agree = True

@@ -59,24 +59,13 @@ class CapGraph:
 
 
 @dataclass(frozen=True)
-class PathSystem:
-    """The k source-sink paths and the per-interval node assignment.
-
-    ``paths[i-1]`` is the full node sequence of path i (starting at 1, ending
-    at n, strictly increasing).  ``assignment[j]`` maps path index -> node for
-    the k/2 nodes of interval j.
-    """
-
-    paths: tuple[tuple[int, ...], ...]
-    assignment: dict[int, dict[int, int]]
-
-
-@dataclass(frozen=True)
 class Instance:
+    """What an instance document holds; the paths are read from the links
+    by ``link_paths``."""
+
     k: int
     graph: CapGraph
     qsets: tuple[QSet, ...]
-    path_system: PathSystem
     links: tuple[Link, ...]
     xstar: tuple[Fraction, ...]
 
@@ -183,10 +172,14 @@ def path_q_incidence(k: int, i: int, j: int) -> bool:
     intervals, wrapping around modulo k-1.
     """
     _check_k(k)
-    half = k // 2
-    if j >= i:
-        return j <= min(i + half - 1, k - 1)
-    return j <= i - half
+    return (j - i) % (k - 1) < k // 2
+
+
+def meeting_paths(k: int, j: int) -> list[int]:
+    """The k/2 paths that meet interval j, ascending: those i with
+    ``path_q_incidence(k, i, j)``, which are j, j-1, ..., j-k/2+1 modulo k-1."""
+    _check_k(k)
+    return sorted((j - 1 - t) % (k - 1) + 1 for t in range(k // 2))
 
 
 def build_qsets(k: int) -> tuple[QSet, ...]:
@@ -218,106 +211,100 @@ def build_circulant(k: int) -> IntMatrix:
     )
 
 
-def build_path_system(k: int) -> PathSystem:
-    """Assign interval nodes to the paths meeting them and lay out the paths.
+def build_links(k: int) -> tuple[Link, ...]:
+    """Lay the links out from the interval assignment: the paths meeting
+    interval j, ascending, take its nodes in ascending order.
 
-    Within each interval the assignment is the canonical bijection: meeting
-    path indices sorted ascending receive the interval's nodes in ascending
-    order.  Every sorted per-path node list is then strictly increasing, so
-    the paths are well formed and internally disjoint.
+    Source link i starts path i, and node v's forward link, id k + v - 1,
+    continues v's path.  Each link is made ending at the sink and is
+    redirected when its path's next node comes up, so every path runs from
+    1 to n through increasing nodes; path k is the single link (1, n).
     """
-    _check_k(k)
     n = node_count(k)
-    qsets = build_qsets(k)
-    internal: dict[int, list[int]] = {i: [] for i in range(1, k)}
-    assignment: dict[int, dict[int, int]] = {}
-    for q in qsets:
-        meeting = [i for i in range(1, k) if path_q_incidence(k, i, q.index)]
-        nodes = list(range(q.first, q.last + 1))
-        assignment[q.index] = dict(zip(sorted(meeting), nodes))
-        for path_idx, node in assignment[q.index].items():
-            internal[path_idx].append(node)
-    paths = [
-        (1, *sorted(internal[i]), n) for i in range(1, k)
-    ]
-    paths.append((1, n))
-    return PathSystem(paths=tuple(paths), assignment=assignment)
-
-
-def build_links(k: int, path_system: PathSystem) -> tuple[Link, ...]:
-    """Index the links: source links 1..k by path, then the forward link of
-    node v gets id k + v - 1."""
-    n = node_count(k)
-    links: list[Link] = []
-    for i in range(1, k + 1):
-        seq = path_system.paths[i - 1]
-        links.append(Link(i, 1, seq[1], i))
-    successor: dict[int, tuple[int, int]] = {}
-    for i, seq in enumerate(path_system.paths, start=1):
-        for a, b in zip(seq, seq[1:]):
-            if a != 1:
-                successor[a] = (b, i)
-    for v in range(2, n):
-        nxt, path_idx = successor[v]
-        links.append(Link(k + v - 1, v, nxt, path_idx))
+    links = [Link(i, 1, n, i) for i in range(1, k + 1)]
+    tail = list(range(-1, k))  # tail[i]: position of path i's latest link
+    for q in build_qsets(k):
+        for i, v in zip(meeting_paths(k, q.index), range(q.first, q.last + 1)):
+            links[tail[i]] = links[tail[i]]._replace(hi=v)
+            tail[i] = len(links)
+            links.append(Link(k + v - 1, v, n, i))
     return tuple(links)
 
 
 def build_instance(k: int) -> Instance:
     _check_k(k)
-    graph = build_graph(k)
-    qsets = build_qsets(k)
-    path_system = build_path_system(k)
-    links = build_links(k, path_system)
-    m = link_count(k)
-    assert len(links) == m
-    xstar = tuple(Fraction(1, k) for _ in range(m))
+    links = build_links(k)
     inst = Instance(
         k=k,
-        graph=graph,
-        qsets=qsets,
-        path_system=path_system,
+        graph=build_graph(k),
+        qsets=build_qsets(k),
         links=links,
-        xstar=xstar,
+        xstar=(Fraction(1, k),) * len(links),
     )
     validate_instance(inst)
     return inst
 
 
-def validate_instance(inst: Instance) -> None:
-    """Structural sanity checks; raises ValueError on any violation."""
+def link_paths(inst: Instance) -> tuple[tuple[int, ...], ...]:
+    """The node sequence of each path i = 1..k, read by following its links
+    from node 1: source link i, then the forward link leaving each node
+    reached, up to node n.  A chain that stops, falls back or runs into a
+    link of another path is a ValueError that names the path."""
     k, n = inst.k, inst.n
+    by_id = {l.id: l for l in inst.links}
+    forward = {l.lo: l for l in inst.links if l.lo != 1}
+    paths = []
+    for i in range(1, k + 1):
+        seq, nxt = [1], by_id.get(i)
+        while seq[-1] != n:
+            if nxt is None or nxt.hi <= seq[-1]:
+                raise ValueError(f"path {i} stops at node {seq[-1]}: no link to a higher node")
+            if nxt.path != i:
+                raise ValueError(f"link chain of path {i} crosses into path {nxt.path}")
+            seq.append(nxt.hi)
+            nxt = forward.get(nxt.hi)
+        paths.append(tuple(seq))
+    return tuple(paths)
+
+
+def validate_instance(inst: Instance) -> None:
+    """Structural checks in O(n + m), the same for built and loaded
+    instances; raises ValueError on any violation.
+
+    The paths are read from the links by ``link_paths``.  They run from 1
+    to n through increasing nodes, and are internally disjoint, since each
+    node has one forward link and that link names one path.
+    """
+    k, n = inst.k, inst.n
+    _check_k(k)
     half = k // 2
     if n != node_count(k) or inst.m != link_count(k):
         raise ValueError("node or link count mismatch")
     if len(inst.graph.edges) != (n - 1) + (k - 1):
         raise ValueError("edge count mismatch")
+    owner = [0] * (n + 1)  # node -> the path through it, 0 for none
+    for i, seq in enumerate(link_paths(inst), start=1):
+        for v in seq[1:-1]:
+            owner[v] = i
+    if not all(owner[2:n]):
+        raise ValueError("some internal node lies on no path")
     for kind, items in (("edge", inst.graph.edges), ("link", inst.links)):
         for item in items:
             if not (1 <= item.lo <= n and 1 <= item.hi <= n):
                 raise ValueError(f"{kind} {list(item)} has an endpoint outside 1..{n}")
-    covered = sorted(v for q in inst.qsets for v in range(q.first, q.last + 1))
-    if covered != list(range(2, n)):
-        raise ValueError("intervals do not partition the internal nodes")
-    if any(q.last - q.first + 1 != half for q in inst.qsets):
-        raise ValueError("interval of wrong size")
-    seen: set[int] = set()
-    for i, seq in enumerate(inst.path_system.paths, start=1):
-        if seq[0] != 1 or seq[-1] != n:
-            raise ValueError(f"path {i} does not run source to sink")
-        if list(seq) != sorted(seq):
-            raise ValueError(f"path {i} is not increasing")
-        inner = set(seq[1:-1])
-        if inner & seen:
-            raise ValueError("paths share an internal node")
-        seen |= inner
-    if seen != set(range(2, n)):
-        raise ValueError("some internal node lies on no path")
     for q in inst.qsets:
-        met = {i for i in range(1, k) if set(inst.path_system.paths[i - 1][1:-1])
-               & set(range(q.first, q.last + 1))}
-        expect = {i for i in range(1, k) if path_q_incidence(k, i, q.index)}
-        if met != expect:
+        if not (2 <= q.first <= q.last <= n - 1 and q.last - q.first + 1 == half):
+            raise ValueError(
+                f"qsets[{q.index - 1}] = [{q.first}, {q.last}] is not {half} "
+                f"consecutive nodes within 2..{n - 1}"
+            )
+    # intervals of k/2 nodes within 2..n-1 partition them iff they start at
+    # 2, 2 + k/2, 2 + k, ...
+    if sorted(q.first for q in inst.qsets) != list(range(2, n, half)):
+        raise ValueError("intervals do not partition the internal nodes")
+    for q in inst.qsets:
+        met = {owner[v] for v in range(q.first, q.last + 1)}
+        if met != set(meeting_paths(k, q.index)):
             raise ValueError(f"interval {q.index} meets wrong path set {met}")
     for ell in inst.links[:k]:
         if ell.lo != 1 or ell.path != ell.id:

@@ -5,7 +5,7 @@ excludes node 1.  Enumeration returns every cut whose capacity is strictly
 below the graph threshold, by one of three strategies:
 
 * ``enumerate_bruteforce`` scans all 2^(n-1) - 1 canonical sides (vectorized,
-  guarded by a node budget);
+  guarded by the node budget ``MAX_BRUTE_NODES`` = 24);
 * ``enumerate_flow`` (a historical name) runs an exact dynamic programme
   over the nodes in index order, whose states are the sides of the open
   nodes, the boundary so far and a flag; no flow is computed.  It returns
@@ -42,6 +42,10 @@ class BruteForceSizeError(ValueError):
     """Raised when a graph exceeds an enumeration budget: the exhaustive-scan
     node budget or the frontier width budget."""
 
+
+# Largest graph ``enumerate_bruteforce`` scans; its work grows as 2**n,
+# so the built instances with k <= 6 fit.
+MAX_BRUTE_NODES = 24
 
 # Largest frontier width ``enumerate_flow`` accepts; its work grows as
 # 2**width, and the built instances have width 2.
@@ -156,19 +160,16 @@ def _mask_to_side(mask: int) -> frozenset[int]:
     return frozenset(side)
 
 
-def enumerate_bruteforce(g: CapGraph, max_nodes: int = 24) -> CutFamily:
+def enumerate_bruteforce(g: CapGraph) -> CutFamily:
     """Every small cut, by scanning all canonical sides.
 
-    Refuses graphs above ``max_nodes`` (raise the budget explicitly to go
-    further).
+    Refuses graphs above ``MAX_BRUTE_NODES`` nodes.
     """
-    if g.n > max_nodes:
+    if g.n > MAX_BRUTE_NODES:
         raise BruteForceSizeError(
-            f"{g.n} nodes exceeds the exhaustive-scan budget of {max_nodes}; "
-            "use enumerate_flow or raise max_nodes explicitly"
+            f"{g.n} nodes exceeds the exhaustive-scan budget of {MAX_BRUTE_NODES}; "
+            "use enumerate_flow"
         )
-    if g.n - 1 > 63:
-        raise BruteForceSizeError("bitmask scan supports at most 64 nodes")
     total = 1 << (g.n - 1)  # masks 1 .. total-1
     chunk = 1 << 20
     cuts = [

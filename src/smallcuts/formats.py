@@ -18,7 +18,6 @@ from .construction import (
     Edge,
     Instance,
     Link,
-    PathSystem,
     QSet,
     listed_labels,
     validate_instance,
@@ -62,31 +61,6 @@ def instance_to_doc(inst: Instance) -> dict[str, Any]:
         "links": [[l.id, l.lo, l.hi, l.path] for l in inst.links],
         "xstar": [frac_str(x) for x in inst.xstar],
     }
-
-
-def _paths_from_links(k: int, n: int, links: tuple[Link, ...]) -> PathSystem:
-    by_id = {l.id: l for l in links}
-    forward = {l.lo: l for l in links if l.lo != 1}
-    paths = []
-    for i in range(1, k + 1):
-        seq, nxt = [1], by_id.get(i)
-        while seq[-1] != n:
-            if nxt is None or nxt.hi <= seq[-1]:
-                raise ValueError(f"path {i} stops at node {seq[-1]}: no link to a higher node")
-            if nxt.path != i:
-                raise ValueError(f"link chain of path {i} crosses into path {nxt.path}")
-            seq.append(nxt.hi)
-            nxt = forward.get(nxt.hi)
-        paths.append(tuple(seq))
-    owner = {v: i for i, seq in enumerate(paths, start=1) for v in seq[1:-1]}
-    half = k // 2
-    if not set(range(2, n)) <= owner.keys():
-        raise ValueError("some internal node lies on no path")
-    assignment = {
-        j: {owner[v]: v for v in range(2 + (j - 1) * half, 2 + j * half)}
-        for j in range(1, k)
-    }
-    return PathSystem(paths=tuple(paths), assignment=assignment)
 
 
 def _int(value: Any, where: str) -> int:
@@ -143,7 +117,6 @@ def instance_from_doc(doc: dict[str, Any]) -> Instance:
         k=k,
         graph=graph,
         qsets=qsets,
-        path_system=_paths_from_links(k, n, links),
         links=links,
         xstar=tuple(xstar),
     )

@@ -7,17 +7,20 @@ from pathlib import Path
 import pytest
 
 from smallcuts.construction import (
+    Link,
     build_circulant,
     build_incidence_matrix,
     build_instance,
-    build_path_system,
     build_qsets,
     e2_endpoints,
     edge_capacity,
     link_count,
+    link_paths,
     listed_small_cuts,
+    meeting_paths,
     node_count,
     path_q_incidence,
+    validate_instance,
 )
 from smallcuts.certify import listed_capacity_table
 from smallcuts.cuts import cut_capacity
@@ -88,6 +91,11 @@ class TestPathIntervalIncidence:
             for i in range(1, k):
                 assert sum(path_q_incidence(k, i, j) for j in range(1, k)) == k // 2
 
+    @pytest.mark.parametrize("k", SUPPORTED_K + (94,))
+    def test_meeting_paths_invert_the_incidence(self, k):
+        for j in range(1, k):
+            assert meeting_paths(k, j) == [i for i in range(1, k) if path_q_incidence(k, i, j)]
+
 
 class TestCirculant:
     def test_k4_matrix(self):
@@ -129,25 +137,27 @@ class TestCirculant:
 
 
 class TestPathSystem:
+    # the paths are read from the links, by the one function that derives them
     def test_k4_internal_nodes(self):
-        ps = build_path_system(4)
-        assert ps.paths[0] == (1, 2, 4, 8)
-        assert ps.paths[1] == (1, 5, 6, 8)
-        assert ps.paths[2] == (1, 3, 7, 8)
-        assert ps.paths[3] == (1, 8)
+        paths = link_paths(build_instance(4))
+        assert paths[0] == (1, 2, 4, 8)
+        assert paths[1] == (1, 5, 6, 8)
+        assert paths[2] == (1, 3, 7, 8)
+        assert paths[3] == (1, 8)
 
     def test_k6_first_interval_assignment(self):
-        ps = build_path_system(6)
-        assert ps.assignment[1] == {1: 2, 4: 3, 5: 4}
+        paths = link_paths(build_instance(6))
+        owner = {v: i for i, seq in enumerate(paths, start=1) for v in seq[1:-1]}
+        assert {owner[v]: v for v in (2, 3, 4)} == {1: 2, 4: 3, 5: 4}
 
     @pytest.mark.parametrize("k", SUPPORTED_K)
     def test_paths_disjoint_and_cover(self, k):
-        ps = build_path_system(k)
+        paths = link_paths(build_instance(k))
         n = node_count(k)
-        internal = [v for seq in ps.paths for v in seq[1:-1]]
+        internal = [v for seq in paths for v in seq[1:-1]]
         assert sorted(internal) == list(range(2, n))
-        assert ps.paths[k - 1] == (1, n)
-        for seq in ps.paths[: k - 1]:
+        assert paths[k - 1] == (1, n)
+        for seq in paths[: k - 1]:
             assert len(seq) == 2 + k // 2
             assert list(seq) == sorted(seq)
 
@@ -192,6 +202,28 @@ class TestInstance:
         nodes = [v for q in qsets for v in range(q.first, q.last + 1)]
         assert nodes == list(range(2, node_count(k)))
         assert all(q.last - q.first + 1 == k // 2 for q in qsets)
+
+    @pytest.mark.parametrize("edit", ({"path": 2}, {"hi": 6}))
+    def test_validate_reads_the_paths_from_the_links(self, edit):
+        # forward link 7 of k = 6 is (7, 2, 5, 1): the second link of path 1
+        inst = build_instance(6)
+        assert inst.link(7) == (7, 2, 5, 1)
+        links = list(inst.links)
+        links[6] = links[6]._replace(**edit)
+        with pytest.raises(ValueError, match="path 1 crosses into path 2"):
+            validate_instance(dataclasses.replace(inst, links=tuple(links)))
+
+    def test_interval_path_sets_checked(self):
+        # k = 4 rewired to paths (1, 2, 3, 8) and (1, 4, 7, 8): disjoint,
+        # covering and well indexed, but path 1 meets interval 1 twice and
+        # path 3 not at all
+        inst = build_instance(4)
+        links = list(inst.links)
+        rewired = ((1, 1, 2, 1), (3, 1, 4, 3), (5, 2, 3, 1), (6, 3, 8, 1), (7, 4, 7, 3), (10, 7, 8, 3))
+        for link in rewired:
+            links[link[0] - 1] = Link(*link)
+        with pytest.raises(ValueError, match="interval 1 meets wrong path set"):
+            validate_instance(dataclasses.replace(inst, links=tuple(links)))
 
     def test_xstar_uniform(self):
         inst = build_instance(6)

@@ -145,6 +145,33 @@ class TestInstanceDoc:
                 instance_from_doc(doc)
 
     @pytest.mark.parametrize(
+        "index, qset",
+        (
+            (0, [2, 9]),  # the right start, far past the sink
+            (1, [0, 1]),  # takes in the source
+            (2, [7, 8]),  # takes in the sink
+            (1, [5, 4]),  # empty
+            (1, [4, 6]),  # three nodes, k/2 = 2
+        ),
+    )
+    def test_out_of_range_qset_named(self, index, qset):
+        doc = instance_to_doc(build_instance(4))
+        doc["qsets"][index] = qset
+        message = rf"qsets\[{index}\] = {re.escape(str(qset))} is not 2 consecutive nodes within 2\.\.7"
+        with pytest.raises(ValueError, match=message):
+            instance_from_doc(doc)
+
+    @pytest.mark.parametrize("k", (0, 2, 3, -4))
+    def test_bad_k_refused(self, k):
+        # k = 0 with n = 2 and no edges or links agrees with every count
+        doc = {
+            "schema_version": "1", "k": k, "n": 2, "m": 0, "lambda": 5,
+            "edges": [], "qsets": [], "links": [], "xstar": [],
+        }
+        with pytest.raises(ValueError, match=f"k must be an even integer >= 4, got {k}"):
+            instance_from_doc(doc)
+
+    @pytest.mark.parametrize(
         "key, value, message",
         (
             ("edges", None, "'edges' must be a list"),
@@ -373,7 +400,7 @@ class TestCli:
     def test_empty_brute_family_fails_cleanly(self, tmp_path, monkeypatch, capsys):
         # an empty family is legal and falsy; it must still be the one certified
         monkeypatch.setattr(
-            cli, "enumerate_bruteforce", lambda g, max_nodes: CutFamily((), g.lam)
+            cli, "enumerate_bruteforce", lambda g: CutFamily((), g.lam)
         )
         out = tmp_path / "cert.json"
         code = cli.main(["verify", "-k", "4", "--strategy", "brute", "--out", str(out)])
