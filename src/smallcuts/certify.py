@@ -7,11 +7,12 @@ cut/link incidence matrix has full rank (so the point is a vertex of the LP).
 The rank is proved by an executable replay of the rank argument: explicit
 row operations reduce the interval-cut rows to path indicator rows, which
 also gives the determinant from that of the (k-1) x (k-1) circulant.  The
-replay works on 0/1 rows held as link sets, those of ``Instance.cut_links``:
-each row operation is one set operation, computed once and accepted only
-under the exact identity that makes it that row operation.  The dense
-m x m matrix ``A`` is built, and eliminated by Bareiss, only in
-``verify_basic``: for callers without a replay, and after a replay fails.
+replay works on 0/1 rows held as Python-int bitsets, bit ``l`` for link
+``l``, those of ``Instance.cut_links``: each row operation is a few word
+operations, computed once and accepted only under the exact identity that
+makes it that row operation.  The dense m x m matrix ``A`` is built, and
+eliminated by Bareiss, only in ``verify_basic``: for callers without a
+replay, and after a replay fails.
 """
 
 from __future__ import annotations
@@ -19,14 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .construction import (
     Instance,
+    Link,
+    bit_ids,
     build_circulant,
     build_incidence_matrix,
-    listed_crossings,
     listed_labels,
+    listed_sums,
 )
 from .cuts import Cut, CutFamily, FrontierFamily
 from .exactmath import IntMatrix, det_bareiss, rank
@@ -39,11 +42,17 @@ class CertificationError(Exception):
 @dataclass(frozen=True)
 class MoveStep:
     """One row operation of the push-to-source loop: subtract the row of
-    prefix cut ``sub_nested``, add the row of ``add_nested``."""
+    prefix cut ``sub_nested``, add the row of ``add_nested``.  ``bits`` is
+    the resulting link set, bit ``l`` for link ``l``."""
 
     sub_nested: int
     add_nested: int
-    links: frozenset[int]
+    bits: int
+
+    @property
+    def links(self) -> frozenset[int]:
+        """The resulting link set, decoded from ``bits`` on each read."""
+        return frozenset(bit_ids(self.bits))
 
 
 @dataclass(frozen=True)
@@ -116,12 +125,8 @@ def coverage(inst: Instance, cut: Cut | Iterable[int]) -> Fraction:
 
 def listed_capacity_table(inst: Instance) -> dict[str, int]:
     """Capacities of all n-1 prefix cuts and k-1 interval cuts, by label."""
-    edges = inst.graph.edges
-    rows = listed_crossings(inst, ((e.lo, e.hi) for e in edges))
-    return {
-        label: sum(edges[pos].cap for pos in row)
-        for label, row in zip(listed_labels(inst), rows)
-    }
+    caps = listed_sums(inst, inst.graph.edges)
+    return dict(zip(listed_labels(inst), caps))
 
 
 class FamilySizeError(ValueError):
@@ -295,7 +300,7 @@ def _certificate(inst: Instance, family: CutFamily, rank_a: int, det_a: int) -> 
     # ``>= den``, exactly once is ``== den``.  A listed row sums the point
     # over its own links; only a surplus cut is tested link by link.
     nums, den = _scaled_point(inst)
-    totals = [sum(nums[f - 1] for f in links) for links in inst.cut_links]
+    totals = listed_sums(inst, ((l.lo, l.hi, nums[l.id - 1]) for l in inst.links))
     if rows is None:
         # Exact by counting: the family is the listed cuts, so only the
         # sides of listed rows covered less than once are built, and named
@@ -357,23 +362,58 @@ def _nested_row(inst: Instance, i: int) -> int:
     return (inst.k - 1) + (i - 1)
 
 
-def _link_rows(inst: Instance, matrix: IntMatrix | None) -> Sequence[frozenset[int]]:
-    """The incidence rows as 0/1 link sets: ``inst.cut_links``, or the rows
-    of ``matrix``, read once after its shape and entries are checked."""
-    m = inst.m
+class _Rows(NamedTuple):
+    """The incidence rows as bitsets, bit ``l`` for link ``l``, and the
+    path-count signature of each row: the sum of ``B ** path`` over its
+    links, with ``B = 2 ** m.bit_length()`` above any count, so two rows
+    have equal signatures iff they cross each path equally often."""
+
+    bits: Sequence[int]
+    sigs: Sequence[int]
+
+
+# bytes of 0/1 entries -> the ASCII digits int(..., 2) reads
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _link_rows(inst: Instance, matrix: IntMatrix | None) -> _Rows:
+    """The incidence rows: ``inst.cut_links``, or the rows of ``matrix``,
+    read once after its shape and entries are checked.  Both come with their
+    signatures.
+
+    The replay reads the largest ``lo`` of a link set from its top bit: link
+    ``f`` starts at node 1 for ``f <= k`` and at ``f - k + 1`` after that,
+    as ``validate_instance`` requires.  That indexing, and a path in 1..k
+    for every link, is checked here, once per call."""
+    k, m = inst.k, inst.m
+    if matrix is not None:
+        if matrix.rows != m or matrix.cols != m:
+            raise ValueError(f"matrix must be {m}x{m}")
+        if not set(matrix.entries) <= {0, 1}:
+            raise CertificationError("matrix has an entry outside {0, 1}")
+    for f, l in enumerate(inst.links, start=1):
+        if (l.id, l.lo) != (f, max(f - k + 1, 1)) or not 1 <= l.path <= k:
+            raise CertificationError(
+                f"link {list(l)} at position {f} is not indexed as the replay reads it"
+            )
+    weight = [(1 << m.bit_length()) ** p for p in range(k + 1)]
     if matrix is None:
-        return inst.cut_links
-    if matrix.rows != m or matrix.cols != m:
-        raise ValueError(f"matrix must be {m}x{m}")
+        sigs = listed_sums(inst, ((l.lo, l.hi, weight[l.path]) for l in inst.links))
+        return _Rows(inst.cut_links, sigs)
     entries = matrix.entries
-    if not set(entries) <= {0, 1}:
-        raise CertificationError("matrix has an entry outside {0, 1}")
-    return [frozenset(c + 1 for c in range(m) if entries[r * m + c]) for r in range(m)]
+    # column c is link c + 1: the digits run from the last column to the first
+    bits = [
+        int(bytes(entries[r * m : (r + 1) * m])[::-1].translate(_DIGITS), 2) << 1
+        for r in range(m)
+    ]
+    link_weight = [0] + [weight[l.path] for l in inst.links]
+    return _Rows(bits, [sum(link_weight[f] for f in bit_ids(row)) for row in bits])
 
 
-def _split(inst: Instance, j: int, rows: Sequence[frozenset[int]]) -> frozenset[int]:
+def _split(inst: Instance, j: int, rows: _Rows) -> int:
     low, high = bracketing_prefixes(inst, j)
-    q, h, l = rows[j - 1], rows[_nested_row(inst, high)], rows[_nested_row(inst, low)]
+    bits = rows.bits
+    q, h, l = bits[j - 1], bits[_nested_row(inst, high)], bits[_nested_row(inst, low)]
     # On 0/1 rows, q - h + l is twice the indicator of q & l iff h == q ^ l.
     if h != q ^ l:
         raise CertificationError(
@@ -381,16 +421,16 @@ def _split(inst: Instance, j: int, rows: Sequence[frozenset[int]]) -> frozenset[
             f"of the interval row and prefix row {low}"
         )
     halved = q & l
-    expected = inst.qcut_links(j) & inst.nested_cut_links(low)
+    expected = inst.cut_links[j - 1] & inst.cut_links[_nested_row(inst, low)]
     if halved != expected:
         raise CertificationError(
-            f"interval row {j}: split leaves {sorted(halved)}, not {sorted(expected)}"
+            f"interval row {j}: split leaves {bit_ids(halved)}, not {bit_ids(expected)}"
         )
-    if len(halved) != inst.k // 2:
+    if halved.bit_count() != inst.k // 2:
         raise CertificationError(
-            f"interval row {j}: expected {inst.k // 2} links, got {len(halved)}"
+            f"interval row {j}: expected {inst.k // 2} links, got {halved.bit_count()}"
         )
-    if inst.k in halved:
+    if halved >> inst.k & 1:
         raise CertificationError("source-sink link cannot leave an interval cut")
     return halved
 
@@ -399,19 +439,30 @@ def reduce_qcut_row(inst: Instance, j: int, matrix: IntMatrix | None = None) -> 
     """Split interval row j: subtracting the covering prefix row and adding
     the disjoint prefix row leaves twice the indicator of the k/2 links that
     leave the interval downward.  Returns that link set.  The rows are the
-    0/1 link sets of ``matrix`` when given, else of ``inst.cut_links``: the
-    split is checked as ``h == q ^ l`` and ``q & l`` as the instance's
-    predicted set."""
-    return _split(inst, j, _link_rows(inst, matrix))
+    0/1 rows of ``matrix`` when given, else of ``inst.cut_links``: the split
+    is checked as ``h == q ^ l`` and ``q & l`` as the instance's predicted
+    set."""
+    return frozenset(bit_ids(_split(inst, j, _link_rows(inst, matrix))))
+
+
+def _touched_paths(links: Sequence[Link], bits: int) -> frozenset[int]:
+    return frozenset(links[f - 1].path for f in bit_ids(bits))
 
 
 def _move_loop(
-    inst: Instance, rows: Sequence[frozenset[int]], links: Iterable[int]
+    inst: Instance, rows: _Rows, links: Iterable[int]
 ) -> tuple[frozenset[int], tuple[MoveStep, ...]]:
     """``push_to_source`` on the given rows.  A move takes the current set
     ``cur`` to ``add - (sub - cur)`` for the rows ``sub`` and ``add`` of two
     prefix cuts; on 0/1 rows that is the row ``cur - sub + add`` iff
-    ``cur <= sub`` and ``sub - cur <= add``, so both are checked."""
+    ``cur <= sub`` and ``sub - cur <= add``, so both are checked, as word
+    operations on the bitsets.
+
+    Under those two checks the per-path link counts obey
+    ``c(new) = c(cur) + c(add) - c(sub)``.  So when the signatures of
+    ``sub`` and ``add`` are equal, ``new`` touches exactly the paths ``cur``
+    touches, and only otherwise are the links of ``new`` decoded for the
+    path check."""
     current = frozenset(links)
     k, by_id = inst.k, inst.links
     if len(current) != k // 2:
@@ -422,31 +473,40 @@ def _move_loop(
     high = max(inst.link(l).lo for l in current)
     if high >= min(inst.link(l).hi for l in current):
         raise ValueError("link set is not contained in any prefix cut")
+    bits, sigs = rows
+    cur = sum(1 << l for l in current)
     moves: list[MoveStep] = []
     while high > 1:
-        # prefix cut i is row k-2+i; link l is by_id[l - 1]
-        sub = rows[k - 2 + high]
-        if not current <= sub:
-            raise CertificationError(f"link set {sorted(current)} not inside prefix cut {high}")
-        complement = sub - current
-        low = max(by_id[l - 1].lo for l in complement)
-        add = rows[k - 2 + low]
-        if not complement <= add:
+        # prefix cut i is row k-2+i; the largest lo of a nonempty set is
+        # read from its top bit, link id f > k having lo = f - k + 1
+        r = k - 2 + high
+        sub = bits[r]
+        if cur & ~sub:
+            raise CertificationError(f"link set {bit_ids(cur)} not inside prefix cut {high}")
+        complement = sub ^ cur
+        if not complement:
             raise CertificationError(
-                f"complement set {sorted(complement)} not inside prefix cut {low}"
+                f"link set {bit_ids(cur)} leaves no complement in prefix cut {high}"
             )
-        new = add - complement
-        if frozenset(by_id[l - 1].path for l in new) != paths:
+        low = max(complement.bit_length() - k, 1)
+        s = k - 2 + low
+        add = bits[s]
+        if complement & ~add:
+            raise CertificationError(
+                f"complement set {bit_ids(complement)} not inside prefix cut {low}"
+            )
+        new = add ^ complement
+        if not new or (sigs[r] != sigs[s] and _touched_paths(by_id, new) != paths):
             raise CertificationError(
                 f"move {high}->{low} changed the touched paths "
-                f"({sorted(new)} vs {sorted(current)})"
+                f"({bit_ids(new)} vs {bit_ids(cur)})"
             )
-        new_high = max(by_id[l - 1].lo for l in new)
+        new_high = max(new.bit_length() - k, 1)
         if new_high >= high:
             raise CertificationError(f"move {high}->{low} made no progress")
-        moves.append(MoveStep(sub_nested=high, add_nested=low, links=new))
-        current, high = new, new_high
-    return current, tuple(moves)
+        moves.append(MoveStep(sub_nested=high, add_nested=low, bits=new))
+        cur, high = new, new_high
+    return (frozenset(bit_ids(cur)) if moves else current), tuple(moves)
 
 
 def push_to_source(
@@ -462,35 +522,34 @@ def push_to_source(
     returned link set is that of the last step, or ``links`` when no step
     is needed.
     """
-    return _move_loop(inst, inst.cut_links, links)
+    return _move_loop(inst, _link_rows(inst, None), links)
 
 
 def full_reduction(inst: Instance, matrix: IntMatrix | None = None) -> list[ReductionTrace]:
     """Reduce every interval-cut row of the incidence matrix to a path
     indicator row, verify the resulting block shape, and return the traces.
 
-    The rows are the 0/1 link sets of ``inst.cut_links`` or, when
-    ``matrix`` is given, read once from it (an entry outside {0, 1}
-    aborts); no m x m matrix is built.  The split (``_split``) and the
-    moves (``_move_loop``, the loop of ``push_to_source``) are set
-    operations on one interval row, each checked by the identity that makes
-    it a row operation, so a single flipped entry in any row they read
-    aborts the replay.  Then each interval row j must be column j of the
-    path/interval circulant over the source links 1..k-1 (the top rows are
-    ``[C^T, 0]``), and each prefix row must have entry 1 on the diagonal
-    and none right of it (the prefix block is unit lower triangular).  The
-    replay ends by checking that the circulant is nonsingular; with the
-    block shape that gives rank m.
+    The rows are the 0/1 bitsets of ``inst.cut_links`` or, when ``matrix``
+    is given, read once from it (an entry outside {0, 1} aborts); no m x m
+    matrix is built.  The split (``_split``) and the moves (``_move_loop``,
+    the loop of ``push_to_source``) are word operations on one interval
+    row, each checked by the identity that makes it a row operation, so a
+    single flipped entry in any row they read aborts the replay.  Then each
+    interval row j must be column j of the path/interval circulant over the
+    source links 1..k-1 (the top rows are ``[C^T, 0]``), and each prefix
+    row must have entry 1 on the diagonal and none right of it (the prefix
+    block is unit lower triangular).  The replay ends by checking that the
+    circulant is nonsingular; with the block shape that gives rank m.
     """
     rows = _link_rows(inst, matrix)
-    k, m = inst.k, inst.m
+    k = inst.k
     circulant = build_circulant(k)
     traces: list[ReductionTrace] = []
     for j in range(1, k):
         low, high = bracketing_prefixes(inst, j)
         # _split checked that the split is twice the indicator of
         # ``halved``; halving it leaves that indicator.
-        halved = _split(inst, j, rows)
+        halved = frozenset(bit_ids(_split(inst, j, rows)))
         try:
             final, moves = _move_loop(inst, rows, halved)
         except (ValueError, RuntimeError) as exc:
@@ -518,11 +577,11 @@ def full_reduction(inst: Instance, matrix: IntMatrix | None = None) -> list[Redu
                 paths=paths,
             )
         )
-    for r in range(k - 1, m):
+    for r, bits in enumerate(rows.bits[k - 1 :], start=k - 1):
         # prefix row r has its diagonal at column r, link id r + 1
-        if r + 1 not in rows[r]:
+        if not bits >> (r + 1) & 1:
             raise CertificationError(f"prefix block diagonal entry {r - k + 1} is not one")
-        if max(rows[r]) != r + 1:
+        if bits.bit_length() != r + 2:
             raise CertificationError(
                 f"prefix block row {r - k + 1} is non-zero above the diagonal"
             )
@@ -535,7 +594,7 @@ def certify_instance(inst: Instance, family: CutFamily) -> Certificate:
     """Full verdict bundle: basic-solution checks plus the reduction replay.
 
     The one code path that assembles a certificate, ``verify`` included.
-    The replay runs first, on the sparse rows of ``inst.cut_links``.  A
+    The replay runs first, on the bitset rows of ``inst.cut_links``.  A
     replay that succeeds proves ``rank A = m``: it only adds and subtracts
     rows and makes k-1 exact halvings, and it checks the final shape
     ``[[C^T, 0], [*, L]]`` with ``L`` unit lower triangular and the

@@ -24,7 +24,7 @@ from .certify import (
     certify_instance,
     full_reduction,
 )
-from .construction import build_instance
+from .construction import bit_ids, build_instance
 from .cuts import (
     BruteForceSizeError,
     enumerate_bruteforce,
@@ -205,7 +205,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         for step in t.moves:
             lines.append(
                 f"     move -N_{step.sub_nested} +N_{step.add_nested} "
-                f"-> {_set_str(sorted(step.links))}"
+                f"-> {_set_str(bit_ids(step.bits))}"
             )
         lines.append(
             f"     source links {_set_str(sorted(t.final))}; "

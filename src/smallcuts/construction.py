@@ -8,7 +8,7 @@ link, and the 0/1 incidence matrices used by the certification code.
 
 Node indices are 1-based throughout; node 1 is the source s, node n the sink
 t. Built instances store edges and links with lo < hi; an instance document
-may list an edge's ends in either order.  ``listed_crossings``, the one
+may list an edge's ends in either order.  ``listed_sums``, the one
 statement of which pairs cross the listed cuts, and all three cut
 enumerators accept both orders.
 """
@@ -84,23 +84,24 @@ class Instance:
         return self.links[link_id - 1]
 
     @cached_property
-    def cut_links(self) -> tuple[frozenset[int], ...]:
-        """Ids of the links crossing each listed cut, in incidence-row order;
-        computed once per object (``dataclasses.replace`` makes a new one)."""
-        rows = listed_crossings(self, ((l.lo, l.hi) for l in self.links))
-        return tuple(frozenset(self.links[p].id for p in row) for row in rows)
+    def cut_links(self) -> tuple[int, ...]:
+        """The links crossing each listed cut, in incidence-row order, each
+        row a bitset with bit ``l`` set for link ``l`` (``bit_ids`` decodes
+        one); computed once per object (``dataclasses.replace`` makes a new
+        one)."""
+        return tuple(listed_sums(self, ((l.lo, l.hi, 1 << l.id) for l in self.links)))
 
     def nested_cut_links(self, i: int) -> frozenset[int]:
         """Ids of links crossing the prefix cut {1..i} | {i+1..n}."""
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"nested index {i} out of range 1..{self.n - 1}")
-        return self.cut_links[self.k - 2 + i]
+        return frozenset(bit_ids(self.cut_links[self.k - 2 + i]))
 
     def qcut_links(self, j: int) -> frozenset[int]:
         """Ids of links with exactly one endpoint in interval j."""
         if not 1 <= j <= self.k - 1:
             raise ValueError(f"interval index {j} out of range 1..{self.k - 1}")
-        return self.cut_links[j - 1]
+        return frozenset(bit_ids(self.cut_links[j - 1]))
 
     def nested_side(self, i: int) -> frozenset[int]:
         """Canonical side (excluding node 1) of the i-th prefix cut."""
@@ -282,6 +283,9 @@ def validate_instance(inst: Instance) -> None:
         raise ValueError("node or link count mismatch")
     if len(inst.graph.edges) != (n - 1) + (k - 1):
         raise ValueError("edge count mismatch")
+    for i, e in enumerate(inst.graph.edges):
+        if e.cap < 0:
+            raise ValueError(f"edges[{i}] = {list(e)} has a negative capacity")
     owner = [0] * (n + 1)  # node -> the path through it, 0 for none
     for i, seq in enumerate(link_paths(inst), start=1):
         for v in seq[1:-1]:
@@ -320,36 +324,59 @@ def validate_instance(inst: Instance) -> None:
 
 def build_incidence_matrix(inst: Instance) -> IntMatrix:
     """m x m cut/link incidence matrix: interval-cut rows, then prefix-cut
-    rows, each the indicator of ``inst.cut_links``; column order is link id."""
+    rows, each the indicator of a row of ``inst.cut_links``; column order is
+    link id."""
     m, rows = inst.m, inst.cut_links
     entries = [0] * (len(rows) * m)
-    for r, links in enumerate(rows):
-        for f in links:
+    for r, bits in enumerate(rows):
+        for f in bit_ids(bits):
             entries[r * m + f - 1] = 1
     mat = IntMatrix(len(rows), m, tuple(entries))
     assert mat.rows == mat.cols == m
     return mat
 
 
-def listed_crossings(inst: Instance, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+def bit_ids(bits: int) -> list[int]:
+    """The positions of the set bits of ``bits >= 0``, ascending: the link
+    ids of a row held as a bitset."""
+    digits = bin(bits)[:1:-1]  # least significant first
+    ids, i = [], digits.find("1")
+    while i >= 0:
+        ids.append(i)
+        i = digits.find("1", i + 1)
+    return ids
+
+
+def listed_sums(inst: Instance, pairs: Iterable[tuple[int, int, int]]) -> list[int]:
     """For each listed cut, in incidence-row order Q_1..Q_{k-1}, N_1..N_{n-1},
-    the positions of the pairs that cross it: the one crossing rule for the
-    listed cuts.  A pair (a, b) with ends in 1..n, in either order, crosses
-    the prefix cuts min..max-1 and the intervals holding exactly one end."""
+    the sum of ``value`` over the pairs (a, b, value) that cross it: the one
+    crossing rule for the listed cuts.  A pair with ends in 1..n, in either
+    order, crosses the prefix cuts min..max-1 and the intervals holding
+    exactly one end.  One pass over the pairs and one over the nodes: the
+    prefix sums run over a difference array.
+
+    Summing ``1 << id`` over the links gives each row as a bitset, ``cap``
+    over the edges each listed cut's capacity, and a point's numerators over
+    the links each row's total."""
     k, n = inst.k, inst.n
     interval = [0] * (n + 1)  # node -> index of its interval, 0 for s and t
     for j, q in enumerate(inst.qsets, start=1):
         interval[q.first : q.last + 1] = [j] * (q.last - q.first + 1)
-    rows: list[list[int]] = [[] for _ in range(k + n - 2)]
-    for pos, (a, b) in enumerate(pairs):
-        lo, hi = min(a, b), max(a, b)
-        for i in range(lo, hi):
-            rows[k - 2 + i].append(pos)
+    qsums = [0] * k  # qsums[j]: interval j; qsums[0] takes the ends at s and t
+    steps = [0] * (n + 1)  # prefix cut i is crossed by the pairs with lo <= i < hi
+    for a, b, value in pairs:
+        lo, hi = (a, b) if a <= b else (b, a)
+        steps[lo] += value
+        steps[hi] -= value
         if interval[lo] != interval[hi]:
-            for j in (interval[lo], interval[hi]):
-                if j:
-                    rows[j - 1].append(pos)
-    return rows
+            qsums[interval[lo]] += value
+            qsums[interval[hi]] += value
+    sums, run = qsums[1:], 0
+    for i in range(1, n):
+        run += steps[i]
+        steps[i] = 0  # a bitset step is as wide as its top bit: free it once read
+        sums.append(run)
+    return sums
 
 
 def listed_labels(inst: Instance) -> list[str]:

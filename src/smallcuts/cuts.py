@@ -204,8 +204,12 @@ def enumerate_flow(g: CapGraph) -> FrontierFamily:
     The work grows as ``2**width``, where the width is the largest number of
     open nodes; a graph wider than ``MAX_FRONTIER_WIDTH`` raises
     ``BruteForceSizeError`` before any state is built.  The built instances
-    have width 2.
+    have width 2.  The pruning needs capacities >= 0: a negative one is a
+    ValueError naming the edge, raised before any state is built.
     """
+    for i, (x, y, c) in enumerate(g.edges):
+        if c < 0:
+            raise ValueError(f"edges[{i}] = {[x, y, c]} has a negative capacity")
     _check_connected(g)
     lam, n = g.lam, g.n
     # lower[v]: node u < v -> total capacity of the edges between u and v.

@@ -19,6 +19,7 @@ from .construction import (
     Instance,
     Link,
     QSet,
+    bit_ids,
     listed_labels,
     validate_instance,
 )
@@ -138,7 +139,7 @@ def trace_to_doc(trace: ReductionTrace) -> dict[str, Any]:
             {
                 "sub_nested": s.sub_nested,
                 "add_nested": s.add_nested,
-                "links": sorted(s.links),
+                "links": bit_ids(s.bits),
             }
             for s in trace.moves
         ],
@@ -205,8 +206,8 @@ def write_lp(inst: Instance) -> str:
     objective = " + ".join(f"x_{f}" for f in range(1, m + 1))
     lines.append(f"min: {objective};")
     lines.append("")
-    for label, links in zip(listed_labels(inst), inst.cut_links):
-        terms = " + ".join(f"x_{f}" for f in sorted(links))
+    for label, bits in zip(listed_labels(inst), inst.cut_links):
+        terms = " + ".join(f"x_{f}" for f in bit_ids(bits))
         lines.append(f"cut_{label}: {terms} >= 1;")
     lines.append("")
     for f in range(1, m + 1):

@@ -713,6 +713,72 @@ class TestFullReduction:
         assert cert.rank_a == inst4.m
         assert cert.det_a == rational_det(build_incidence_matrix(inst4).to_rows()) == 16
 
+    @pytest.mark.parametrize("edit", ({"lo": 4, "hi": 6}, {"path": 0}, {"path": 5}))
+    def test_link_indexing_checked(self, inst4, edit):
+        # the replay reads a set's largest lo from its top bit and weighs a
+        # link by its path, so a link whose lo does not follow its id, or
+        # whose path is outside 1..k, is refused before any split
+        links = list(inst4.links)
+        links[5] = links[5]._replace(**edit)
+        with pytest.raises(CertificationError, match="not indexed as the replay reads it"):
+            full_reduction(dataclasses.replace(inst4, links=tuple(links)))
+
+    @staticmethod
+    def _outcome(inst, matrix):
+        try:
+            return full_reduction(inst, matrix=matrix)
+        except CertificationError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("k", (4, 6, 8))
+    def test_signature_fast_path_changes_no_outcome(self, k, monkeypatch):
+        # A move whose two prefix rows have equal path-count signatures skips
+        # decoding its new link set for the path check.  With every signature
+        # forced distinct each move decodes, and every single flip of a
+        # prefix-block entry must still give the same traces or message.  So
+        # must every swap of a prefix row's link for another link of the
+        # same path, which keeps the row's signature and so its fast path.
+        inst = build_instance(k)
+        a = build_incidence_matrix(inst)
+        link_rows = certify._link_rows
+
+        def distinct(inst, matrix):
+            rows = link_rows(inst, matrix)
+            return rows._replace(sigs=range(len(rows.sigs)))
+
+        flips = [[(r, c)] for r in range(k - 1, inst.m) for c in range(inst.m)]
+        path = [l.path for l in inst.links]
+        for r, row in enumerate(a.to_rows()[k - 1 :], start=k - 1):
+            flips += [
+                [(r, x), (r, y)]
+                for x in range(inst.m)
+                for y in range(inst.m)
+                if row[x] > row[y] and path[x] == path[y]
+            ]
+        matrices = [a] + [_flipped(a, entries) for entries in flips]
+        fast = [self._outcome(inst, matrix) for matrix in matrices]
+        monkeypatch.setattr(certify, "_link_rows", distinct)
+        slow = [self._outcome(inst, matrix) for matrix in matrices]
+        assert fast == slow
+        assert isinstance(fast[0], list) and any(isinstance(x, str) for x in fast)
+
+    def test_moves_decode_nothing_until_read(self, monkeypatch):
+        # On a built instance every prefix row has the same signature, so no
+        # move decodes its links for the path check, and no move's link set
+        # is decoded until a trace is read.
+        checked, read = [], []
+        touched_paths, links = certify._touched_paths, certify.MoveStep.links.fget
+        monkeypatch.setattr(
+            certify, "_touched_paths", lambda *args: checked.append(1) or touched_paths(*args)
+        )
+        monkeypatch.setattr(
+            certify.MoveStep, "links", property(lambda step: read.append(1) or links(step))
+        )
+        traces = full_reduction(build_instance(24))
+        moves = [step for t in traces for step in t.moves]
+        assert len(moves) > 200 and checked == [] and read == []
+        assert traces[-1].final == moves[-1].links and read == [1]
+
 
 class TestMatrixConsistent:
     def test_accepts_own_matrix(self, inst4):

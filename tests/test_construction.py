@@ -11,18 +11,21 @@ from smallcuts.construction import (
     build_circulant,
     build_incidence_matrix,
     build_instance,
+    bit_ids,
     build_qsets,
     e2_endpoints,
     edge_capacity,
     link_count,
     link_paths,
     listed_small_cuts,
+    listed_sums,
     meeting_paths,
     node_count,
     path_q_incidence,
     validate_instance,
 )
-from smallcuts.certify import listed_capacity_table
+from smallcuts import certify
+from smallcuts.certify import coverage, listed_capacity_table
 from smallcuts.cuts import cut_capacity
 from smallcuts.exactmath import IntMatrix, det_bareiss, rank
 
@@ -314,6 +317,37 @@ class TestIncidenceMatrix:
                     ]
                     assert row == expect, (k, label)
                     assert caps[label] == cut_capacity(case.graph, side), (k, label)
+
+    def test_sweep_sums_agree_with_membership_rule(self):
+        # The one sweep gives the row bitsets, the row totals of a point and
+        # the path-count signatures: each must equal its sum over the links
+        # that cross the listed side, also on a replaced instance with
+        # reversed and moved links and a point with distinct coordinates.
+        for k in (4, 6, 8, 10):
+            inst = build_instance(k)
+            base = 2 ** inst.m.bit_length()
+            moved = dataclasses.replace(
+                inst,
+                links=tuple(
+                    l._replace(lo=l.hi, hi=l.lo) if l.id % 2 else l._replace(hi=l.hi - 1)
+                    for l in inst.links
+                ),
+                xstar=tuple(Fraction(f, 3 * f + 1) for f in range(1, inst.m + 1)),
+            )
+            for case in (inst, moved):
+                nums, den = certify._scaled_point(case)
+                totals = listed_sums(case, ((l.lo, l.hi, nums[l.id - 1]) for l in case.links))
+                sigs = listed_sums(case, ((l.lo, l.hi, base**l.path) for l in case.links))
+                rows = zip(case.cut_links, totals, sigs, listed_small_cuts(case))
+                for bits, total, sig, (label, side) in rows:
+                    crossing = [l for l in case.links if (l.lo in side) != (l.hi in side)]
+                    assert bit_ids(bits) == [l.id for l in crossing], (k, label)
+                    assert total == coverage(case, side) * den, (k, label)
+                    assert sig == sum(base**l.path for l in crossing), (k, label)
+            # the rows and signatures read from a caller's matrix are the sweep's
+            read = certify._link_rows(inst, build_incidence_matrix(inst))
+            swept = certify._link_rows(inst, None)
+            assert list(map(list, read)) == list(map(list, swept))
 
 
 def test_listed_small_cuts_labels():

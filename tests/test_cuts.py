@@ -188,6 +188,14 @@ class TestFlowEnumeration:
         with pytest.raises(ValueError, match="connected"):
             enumerate_flow(g)
 
+    def test_negative_capacity_refused(self):
+        # the pruning assumes the boundary never falls: with edge (2, 3, -4)
+        # it dropped the cuts {2} and {2, 4} that a subset scan finds
+        edges = (Edge(1, 2, 6), Edge(2, 3, -4), Edge(3, 4, 1), Edge(1, 4, 1))
+        assert {frozenset({2}), frozenset({2, 4})} <= set(scan_small_cuts(4, edges, 5))
+        with pytest.raises(ValueError, match=r"edges\[1\] = \[2, 3, -4\] has a negative capacity"):
+            enumerate_flow(CapGraph(4, edges, 5))
+
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
     def test_random_graphs_agree_with_bruteforce(self, g):

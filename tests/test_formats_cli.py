@@ -161,6 +161,12 @@ class TestInstanceDoc:
         with pytest.raises(ValueError, match=message):
             instance_from_doc(doc)
 
+    def test_negative_capacity_named(self):
+        doc = instance_to_doc(build_instance(4))
+        doc["edges"][3][2] = -3
+        with pytest.raises(ValueError, match=r"edges\[3\] = \[4, 5, -3\] has a negative capacity"):
+            instance_from_doc(doc)
+
     @pytest.mark.parametrize("k", (0, 2, 3, -4))
     def test_bad_k_refused(self, k):
         # k = 0 with n = 2 and no edges or links agrees with every count
