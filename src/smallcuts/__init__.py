@@ -22,7 +22,6 @@ from .certify import (
     coverage,
     full_reduction,
     listed_capacity_table,
-    matrix_consistent,
     push_to_source,
     reduce_qcut_row,
     verify_basic,
@@ -90,7 +89,6 @@ __all__ = [
     "karger_probe",
     "listed_capacity_table",
     "listed_small_cuts",
-    "matrix_consistent",
     "path_q_incidence",
     "push_to_source",
     "rank",

@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .construction import (
     Instance,
-    Link,
     bit_ids,
     build_circulant,
     build_incidence_matrix,
@@ -249,14 +248,7 @@ def _family_check(inst: Instance, family: CutFamily, rows: list[int | None]) -> 
     return FamilyCheck(ok=not missing and not surplus, missing=missing, surplus=surplus)
 
 
-def matrix_consistent(inst: Instance, matrix: IntMatrix) -> bool:
-    """Entry-exact comparison of a matrix against the instance's incidence."""
-    return matrix == build_incidence_matrix(inst)
-
-
-def verify_basic(
-    inst: Instance, family: CutFamily, matrix: IntMatrix | None = None
-) -> Certificate:
+def verify_basic(inst: Instance, family: CutFamily) -> Certificate:
     """Certify that the instance's candidate point is a basic solution.
 
     Sub-checks: every listed cut is below the threshold and in the
@@ -266,15 +258,14 @@ def verify_basic(
     incidence matrix of the listed (tight) cuts has full rank m.  A feasible
     point whose tight constraints have rank m is a vertex.  Each failed
     sub-check adds an entry to ``failures``, and ``is_basic`` holds exactly
-    when there is none.  ``matrix`` is that incidence matrix when the
-    caller has already built it.
+    when there is none.
 
     Rank and determinant come from a Bareiss elimination of the m x m
     matrix: this is the path for callers without a replay, and the path
     ``certify_instance`` takes when its replay fails.  No replay is run
     here: ``reduction_ok`` is None.
     """
-    a = build_incidence_matrix(inst) if matrix is None else matrix
+    a = build_incidence_matrix(inst)
     det_a = det_bareiss(a)
     # A nonzero integer determinant means full rank over Q; only a singular
     # matrix is eliminated again, to report its exact rank.
@@ -362,24 +353,14 @@ def _nested_row(inst: Instance, i: int) -> int:
     return (inst.k - 1) + (i - 1)
 
 
-class _Rows(NamedTuple):
-    """The incidence rows as bitsets, bit ``l`` for link ``l``, and the
-    path-count signature of each row: the sum of ``B ** path`` over its
-    links, with ``B = 2 ** m.bit_length()`` above any count, so two rows
-    have equal signatures iff they cross each path equally often."""
-
-    bits: Sequence[int]
-    sigs: Sequence[int]
-
-
 # bytes of 0/1 entries -> the ASCII digits int(..., 2) reads
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _link_rows(inst: Instance, matrix: IntMatrix | None) -> _Rows:
-    """The incidence rows: ``inst.cut_links``, or the rows of ``matrix``,
-    read once after its shape and entries are checked.  Both come with their
-    signatures.
+def _link_rows(inst: Instance, matrix: IntMatrix | None) -> Sequence[int]:
+    """The incidence rows as bitsets, bit ``l`` for link ``l``:
+    ``inst.cut_links``, or the rows of ``matrix``, read once after its shape
+    and entries are checked.
 
     The replay reads the largest ``lo`` of a link set from its top bit: link
     ``f`` starts at node 1 for ``f <= k`` and at ``f - k + 1`` after that,
@@ -396,24 +377,19 @@ def _link_rows(inst: Instance, matrix: IntMatrix | None) -> _Rows:
             raise CertificationError(
                 f"link {list(l)} at position {f} is not indexed as the replay reads it"
             )
-    weight = [(1 << m.bit_length()) ** p for p in range(k + 1)]
     if matrix is None:
-        sigs = listed_sums(inst, ((l.lo, l.hi, weight[l.path]) for l in inst.links))
-        return _Rows(inst.cut_links, sigs)
+        return inst.cut_links
     entries = matrix.entries
     # column c is link c + 1: the digits run from the last column to the first
-    bits = [
+    return [
         int(bytes(entries[r * m : (r + 1) * m])[::-1].translate(_DIGITS), 2) << 1
         for r in range(m)
     ]
-    link_weight = [0] + [weight[l.path] for l in inst.links]
-    return _Rows(bits, [sum(link_weight[f] for f in bit_ids(row)) for row in bits])
 
 
-def _split(inst: Instance, j: int, rows: _Rows) -> int:
+def _split(inst: Instance, j: int, rows: Sequence[int]) -> int:
     low, high = bracketing_prefixes(inst, j)
-    bits = rows.bits
-    q, h, l = bits[j - 1], bits[_nested_row(inst, high)], bits[_nested_row(inst, low)]
+    q, h, l = rows[j - 1], rows[_nested_row(inst, high)], rows[_nested_row(inst, low)]
     # On 0/1 rows, q - h + l is twice the indicator of q & l iff h == q ^ l.
     if h != q ^ l:
         raise CertificationError(
@@ -445,12 +421,8 @@ def reduce_qcut_row(inst: Instance, j: int, matrix: IntMatrix | None = None) -> 
     return frozenset(bit_ids(_split(inst, j, _link_rows(inst, matrix))))
 
 
-def _touched_paths(links: Sequence[Link], bits: int) -> frozenset[int]:
-    return frozenset(links[f - 1].path for f in bit_ids(bits))
-
-
 def _move_loop(
-    inst: Instance, rows: _Rows, links: Iterable[int]
+    inst: Instance, rows: Sequence[int], links: Iterable[int]
 ) -> tuple[frozenset[int], tuple[MoveStep, ...]]:
     """``push_to_source`` on the given rows.  A move takes the current set
     ``cur`` to ``add - (sub - cur)`` for the rows ``sub`` and ``add`` of two
@@ -458,13 +430,12 @@ def _move_loop(
     ``cur <= sub`` and ``sub - cur <= add``, so both are checked, as word
     operations on the bitsets.
 
-    Under those two checks the per-path link counts obey
-    ``c(new) = c(cur) + c(add) - c(sub)``.  So when the signatures of
-    ``sub`` and ``add`` are equal, ``new`` touches exactly the paths ``cur``
-    touches, and only otherwise are the links of ``new`` decoded for the
-    path check."""
+    The paths the set touches are compared once, after the last move, with
+    those the given links touch; no move decodes its set.  The replay's
+    proof does not read this check: its row identities and its final
+    column check imply it."""
     current = frozenset(links)
-    k, by_id = inst.k, inst.links
+    k = inst.k
     if len(current) != k // 2:
         raise ValueError(f"need exactly {k // 2} links, got {len(current)}")
     if k in current:
@@ -473,14 +444,12 @@ def _move_loop(
     high = max(inst.link(l).lo for l in current)
     if high >= min(inst.link(l).hi for l in current):
         raise ValueError("link set is not contained in any prefix cut")
-    bits, sigs = rows
     cur = sum(1 << l for l in current)
     moves: list[MoveStep] = []
     while high > 1:
         # prefix cut i is row k-2+i; the largest lo of a nonempty set is
         # read from its top bit, link id f > k having lo = f - k + 1
-        r = k - 2 + high
-        sub = bits[r]
+        sub = rows[k - 2 + high]
         if cur & ~sub:
             raise CertificationError(f"link set {bit_ids(cur)} not inside prefix cut {high}")
         complement = sub ^ cur
@@ -489,24 +458,29 @@ def _move_loop(
                 f"link set {bit_ids(cur)} leaves no complement in prefix cut {high}"
             )
         low = max(complement.bit_length() - k, 1)
-        s = k - 2 + low
-        add = bits[s]
+        add = rows[k - 2 + low]
         if complement & ~add:
             raise CertificationError(
                 f"complement set {bit_ids(complement)} not inside prefix cut {low}"
             )
         new = add ^ complement
-        if not new or (sigs[r] != sigs[s] and _touched_paths(by_id, new) != paths):
-            raise CertificationError(
-                f"move {high}->{low} changed the touched paths "
-                f"({bit_ids(new)} vs {bit_ids(cur)})"
-            )
+        if not new:
+            raise CertificationError(f"move {high}->{low} left no link")
         new_high = max(new.bit_length() - k, 1)
         if new_high >= high:
             raise CertificationError(f"move {high}->{low} made no progress")
         moves.append(MoveStep(sub_nested=high, add_nested=low, bits=new))
         cur, high = new, new_high
-    return (frozenset(bit_ids(cur)) if moves else current), tuple(moves)
+    if not moves:
+        return current, ()
+    final = frozenset(bit_ids(cur))
+    touched = frozenset(inst.link(l).path for l in final)
+    if touched != paths:
+        raise CertificationError(
+            f"the moves changed the touched paths from {sorted(paths)} to "
+            f"{sorted(touched)} ({sorted(current)} -> {sorted(final)})"
+        )
+    return final, tuple(moves)
 
 
 def push_to_source(
@@ -516,11 +490,11 @@ def push_to_source(
 
     ``links`` must be k/2 links, none of them the source-sink link, jointly
     contained in some prefix cut.  Each step swaps the link set for its
-    complement within two prefix cuts of ``inst.cut_links``, preserving the
-    set of paths touched and strictly decreasing the containing prefix
-    index; the loop ends when all links are incident to node 1.  The
-    returned link set is that of the last step, or ``links`` when no step
-    is needed.
+    complement within two prefix cuts of ``inst.cut_links``, strictly
+    decreasing the containing prefix index; the loop ends when all links
+    are incident to node 1, on a set that must touch the paths ``links``
+    touches.  The returned link set is that of the last step, or ``links``
+    when no step is needed.
     """
     return _move_loop(inst, _link_rows(inst, None), links)
 
@@ -577,7 +551,7 @@ def full_reduction(inst: Instance, matrix: IntMatrix | None = None) -> list[Redu
                 paths=paths,
             )
         )
-    for r, bits in enumerate(rows.bits[k - 1 :], start=k - 1):
+    for r, bits in enumerate(rows[k - 1 :], start=k - 1):
         # prefix row r has its diagonal at column r, link id r + 1
         if not bits >> (r + 1) & 1:
             raise CertificationError(f"prefix block diagonal entry {r - k + 1} is not one")

@@ -15,7 +15,6 @@ from smallcuts.certify import (
     family_walk_budget,
     full_reduction,
     listed_capacity_table,
-    matrix_consistent,
     push_to_source,
     reduce_qcut_row,
     verify_basic,
@@ -723,72 +722,86 @@ class TestFullReduction:
         with pytest.raises(CertificationError, match="not indexed as the replay reads it"):
             full_reduction(dataclasses.replace(inst4, links=tuple(links)))
 
-    @staticmethod
-    def _outcome(inst, matrix):
-        try:
-            return full_reduction(inst, matrix=matrix)
-        except CertificationError as exc:
-            return str(exc)
-
     @pytest.mark.parametrize("k", (4, 6, 8))
-    def test_signature_fast_path_changes_no_outcome(self, k, monkeypatch):
-        # A move whose two prefix rows have equal path-count signatures skips
-        # decoding its new link set for the path check.  With every signature
-        # forced distinct each move decodes, and every single flip of a
-        # prefix-block entry must still give the same traces or message.  So
-        # must every swap of a prefix row's link for another link of the
-        # same path, which keeps the row's signature and so its fast path.
+    def test_prefix_flip_or_path_swap_is_sound(self, k):
+        # Every single flip of a prefix-block entry, and every swap of a
+        # prefix row's link for another link of the same path, which keeps
+        # the row's count on each path: the replay aborts, or the tampered
+        # matrix has the determinant the replay claims.
         inst = build_instance(k)
         a = build_incidence_matrix(inst)
-        link_rows = certify._link_rows
-
-        def distinct(inst, matrix):
-            rows = link_rows(inst, matrix)
-            return rows._replace(sigs=range(len(rows.sigs)))
-
-        flips = [[(r, c)] for r in range(k - 1, inst.m) for c in range(inst.m)]
+        # the rational oracle takes about 30 s on the 320 matrices accepted at k = 8
+        det = rational_det if k < 8 else lambda rows: det_bareiss(IntMatrix.from_rows(rows))
+        claimed = 2 ** (k - 1) * det(build_circulant(k).to_rows())
+        tampered = [[(r, c)] for r in range(k - 1, inst.m) for c in range(inst.m)]
         path = [l.path for l in inst.links]
         for r, row in enumerate(a.to_rows()[k - 1 :], start=k - 1):
-            flips += [
+            tampered += [
                 [(r, x), (r, y)]
                 for x in range(inst.m)
                 for y in range(inst.m)
                 if row[x] > row[y] and path[x] == path[y]
             ]
-        matrices = [a] + [_flipped(a, entries) for entries in flips]
-        fast = [self._outcome(inst, matrix) for matrix in matrices]
-        monkeypatch.setattr(certify, "_link_rows", distinct)
-        slow = [self._outcome(inst, matrix) for matrix in matrices]
-        assert fast == slow
-        assert isinstance(fast[0], list) and any(isinstance(x, str) for x in fast)
+        accepted = 0
+        for entries in tampered:
+            matrix = _flipped(a, entries)
+            try:
+                full_reduction(inst, matrix=matrix)
+            except CertificationError:
+                continue
+            assert det(matrix.to_rows()) == claimed, entries
+            accepted += 1
+        assert (len(tampered), accepted) == {4: (112, 12), 6: (576, 89), 8: (1856, 320)}[k]
 
     def test_moves_decode_nothing_until_read(self, monkeypatch):
-        # On a built instance every prefix row has the same signature, so no
-        # move decodes its links for the path check, and no move's link set
-        # is decoded until a trace is read.
-        checked, read = [], []
-        touched_paths, links = certify._touched_paths, certify.MoveStep.links.fget
-        monkeypatch.setattr(
-            certify, "_touched_paths", lambda *args: checked.append(1) or touched_paths(*args)
-        )
+        # The touched paths are compared once per loop, after its last move,
+        # so the replay decodes at most two link sets per interval row, the
+        # halved and the final one, however many moves it makes; no move's
+        # link set is decoded until a trace is read.
+        decoded, read = [], []
+        ids, links = certify.bit_ids, certify.MoveStep.links.fget
+        monkeypatch.setattr(certify, "bit_ids", lambda bits: decoded.append(1) or ids(bits))
         monkeypatch.setattr(
             certify.MoveStep, "links", property(lambda step: read.append(1) or links(step))
         )
-        traces = full_reduction(build_instance(24))
+        k = 24
+        traces = full_reduction(build_instance(k))
         moves = [step for t in traces for step in t.moves]
-        assert len(moves) > 200 and checked == [] and read == []
+        assert len(moves) > 200 and len(decoded) <= 2 * (k - 1) and read == []
         assert traces[-1].final == moves[-1].links and read == [1]
 
 
-class TestMatrixConsistent:
-    def test_accepts_own_matrix(self, inst4):
-        assert matrix_consistent(inst4, build_incidence_matrix(inst4))
+class TestMoveRefusals:
+    # Each check of the move loop, pinned by its message on one tampered
+    # input: links 6 = (3, 7) and 8 = (5, 6) of the k = 4 instance take two
+    # moves, -N_5 +N_4 to {2, 6}, then -N_3 +N_2 to {2, 3}.
 
-    def test_rejects_any_flip(self, inst4):
-        a = build_incidence_matrix(inst4)
-        row = a.row(7)
-        row[0] ^= 1
-        assert not matrix_consistent(inst4, a.with_row(7, row))
+    @pytest.mark.parametrize(
+        "i, links, message",
+        (
+            (3, (2,), r"link set \[2, 6\] not inside prefix cut 3"),
+            (2, (4,), r"complement set \[4, 5\] not inside prefix cut 2"),
+            (2, (6,), "move 3->2 made no progress"),
+            (2, (2, 3), "move 3->2 left no link"),
+        ),
+        ids=("set-outside-sub", "complement-outside-add", "no-progress", "empty-set"),
+    )
+    def test_refused_by_message(self, inst4, i, links, message):
+        # the given links flipped in the bitset row of prefix cut N_i
+        rows = list(inst4.cut_links)
+        for l in links:
+            rows[inst4.k - 2 + i] ^= 1 << l
+        with pytest.raises(CertificationError, match=message):
+            certify._move_loop(inst4, rows, {6, 8})
+
+    def test_changed_paths_refused(self, inst4):
+        # link 8 relabelled to path 1 with its rows unchanged: every move
+        # passes, and only the paths of the final set give it away
+        links = list(inst4.links)
+        links[7] = links[7]._replace(path=1)
+        relabelled = dataclasses.replace(inst4, links=tuple(links))
+        with pytest.raises(CertificationError, match=r"changed the touched paths from \[1, 3\]"):
+            push_to_source(relabelled, {6, 8})
 
 
 def test_certify_instance_sets_reduction_flag(inst4, family4):

@@ -3,6 +3,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,8 @@ DOT_EDGE = re.compile(r'^\s*v(\d+) -- v(\d+) \[([^\]]*)\];$')
 DOT_NODE = re.compile(r"^\s*v(\d+);$")
 DOT_ATTR = re.compile(r"^\s*\w+=\S+;$|^\s*node \[[^\]]*\];$")
 LP_CONSTRAINT = re.compile(r"^(\w+): ([x_\d +]+) >= 1;$")
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def check_dot_syntax(text: str) -> tuple[int, int, list[dict]]:
@@ -555,3 +558,22 @@ def test_verify_basic_with_mutated_family_fails_cli_style():
     family = enumerate_bruteforce(inst.graph)
     cert = verify_basic(inst, family)
     assert cert.family_exact and cert.is_basic
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    (
+        (["verify", "-k", "8", "--strategy", "flow", "--trace"], "verify_k8_flow_trace.json"),
+        (["reduce", "-k", "8"], "reduce_k8.txt"),
+    ),
+    ids=("verify", "reduce"),
+)
+def test_documents_match_golden(argv, name, capsys):
+    # The documents are byte for byte those of the files under golden/, apart
+    # from the certificate's elapsed_seconds line; a change that means to
+    # alter them regenerates the files, e.g. with
+    # ``smallcuts verify -k 8 --strategy flow --trace | grep -v elapsed_seconds``.
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    text = "".join(line for line in lines if not line.startswith('  "elapsed_seconds": '))
+    assert text.encode() == (GOLDEN / name).read_bytes()
