@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .certify import (
     Certificate,
     CertificationError,
-    FamilyCheck,
     FamilySizeError,
     MoveStep,
     ReductionTrace,
@@ -23,9 +22,6 @@ from .certify import (
     full_reduction,
     listed_capacity_table,
     push_to_source,
-    reduce_qcut_row,
-    verify_basic,
-    verify_family,
 )
 from .construction import (
     CapGraph,
@@ -52,7 +48,7 @@ from .cuts import (
     enumerate_flow,
     karger_probe,
 )
-from .exactmath import IntMatrix, Rat, det_bareiss, rank
+from .exactmath import IntMatrix, det_bareiss, rank
 
 __all__ = [
     "BruteForceSizeError",
@@ -62,7 +58,6 @@ __all__ = [
     "Cut",
     "CutFamily",
     "Edge",
-    "FamilyCheck",
     "FamilySizeError",
     "FrontierFamily",
     "Instance",
@@ -70,7 +65,6 @@ __all__ = [
     "Link",
     "MoveStep",
     "QSet",
-    "Rat",
     "ReductionTrace",
     "bracketing_prefixes",
     "build_circulant",
@@ -92,7 +86,4 @@ __all__ = [
     "path_q_incidence",
     "push_to_source",
     "rank",
-    "reduce_qcut_row",
-    "verify_basic",
-    "verify_family",
 ]

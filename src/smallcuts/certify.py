@@ -4,20 +4,19 @@ Checks, in exact arithmetic, everything the construction promises: the
 listed cuts are small, an exact enumeration finds nothing else, the uniform
 point covers every listed cut tightly with no tight variable bound, and the
 cut/link incidence matrix has full rank (so the point is a vertex of the LP).
-The rank is proved by an executable replay of the rank argument: explicit
-row operations reduce the interval-cut rows to path indicator rows, which
-also gives the determinant from that of the (k-1) x (k-1) circulant.  The
-replay works on 0/1 rows held as Python-int bitsets, bit ``l`` for link
-``l``, those of ``Instance.cut_links``: each row operation is a few word
-operations, computed once and accepted only under the exact identity that
-makes it that row operation.  The dense m x m matrix ``A`` is built, and
-eliminated by Bareiss, only in ``verify_basic``: for callers without a
-replay, and after a replay fails.
+The rank is proved by an executable replay of the rank argument, the only
+proof of it: explicit row operations reduce the interval-cut rows to path
+indicator rows, which also gives the determinant from that of the
+(k-1) x (k-1) circulant.  The replay works on 0/1 rows held as Python-int
+bitsets, bit ``l`` for link ``l``, those of ``Instance.cut_links``: each row
+operation is a few word operations, computed once and accepted only under
+the exact identity that makes it that row operation.  No m x m matrix is
+built or eliminated; a replay that fails leaves the rank unproved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Sequence
@@ -26,7 +25,6 @@ from .construction import (
     Instance,
     bit_ids,
     build_circulant,
-    build_incidence_matrix,
     listed_labels,
     listed_sums,
 )
@@ -68,17 +66,12 @@ class ReductionTrace:
 
 
 @dataclass(frozen=True)
-class FamilyCheck:
-    ok: bool
-    missing: tuple[frozenset[int], ...]
-    surplus: tuple[frozenset[int], ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
 class Certificate:
+    """Every verdict on one instance and family.  ``rank_a`` and ``det_a``
+    are those the replay proves, or None when it failed (``failures`` then
+    ends with ``rank:unproved``); ``traces`` is empty unless the replay
+    succeeded, and ``reduction_error`` says why it failed."""
+
     k: int
     family_exact: bool
     family_size: int
@@ -88,21 +81,20 @@ class Certificate:
     feasible: bool
     tight: bool
     bounds_strict: bool
-    rank_a: int
-    det_a: int
+    rank_a: int | None
+    det_a: int | None
     is_basic: bool
     max_coordinate: Fraction
-    failures: tuple[str, ...] = ()
-    reduction_ok: bool | None = None  # None: no replay was run
-    traces: tuple[ReductionTrace, ...] = ()  # empty unless the replay succeeded
-    reduction_error: str | None = None  # why the replay failed
+    failures: tuple[str, ...]
+    reduction_ok: bool
+    traces: tuple[ReductionTrace, ...]
+    reduction_error: str | None
 
     @property
     def false_verdicts(self) -> tuple[str, ...]:
-        """The verdicts that are not ``True``, in a fixed order; a
-        certificate without a replay names ``reduction_ok``."""
+        """The verdicts that are false, in a fixed order."""
         verdicts = ("is_basic", "family_exact", "reduction_ok")
-        return tuple(name for name in verdicts if getattr(self, name) is not True)
+        return tuple(name for name in verdicts if not getattr(self, name))
 
 
 def _scaled_point(inst: Instance) -> tuple[list[int], int]:
@@ -179,15 +171,13 @@ def family_walk_budget(inst: Instance) -> int:
     return 2 * (inst.k + inst.n - 2)
 
 
-def verify_family(inst: Instance, family: CutFamily) -> FamilyCheck:
-    """Is the enumerated family exactly the listed prefix and interval cuts?"""
-    return _family(inst, family)[0]
-
-
-def _family(inst: Instance, family: CutFamily) -> tuple[FamilyCheck, list[int | None] | None]:
-    """The family check, and the listed row of each cut of the family in
-    order (None for a surplus cut), or None in place of the rows when the
-    family is proved exact by counting.
+def _family(
+    inst: Instance, family: CutFamily
+) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...], list[int | None] | None]:
+    """The missing and surplus sides of the family against the listed cuts,
+    and the listed row of each cut of the family in order (None for a
+    surplus cut), or None in place of the rows when the family is proved
+    exact by counting.
 
     A ``FrontierFamily`` is exact iff its size, the number of its cuts the
     listed-side automaton accepts and the number n + k - 2 of listed cuts
@@ -200,7 +190,7 @@ def _family(inst: Instance, family: CutFamily) -> tuple[FamilyCheck, list[int | 
         listed = inst.k + inst.n - 2
         accepted = sum(family.count_accepted(BEFORE, _listed_automaton(inst)).values())
         if len(family) == accepted == listed:
-            return FamilyCheck(ok=True, missing=(), surplus=()), None
+            return (), (), None
         budget = family_walk_budget(inst)
         if len(family) > budget:
             raise FamilySizeError(
@@ -209,7 +199,11 @@ def _family(inst: Instance, family: CutFamily) -> tuple[FamilyCheck, list[int | 
                 f"surplus cuts is refused above {budget} cuts"
             )
     rows = _listed_rows(inst, family)
-    return _family_check(inst, family, rows), rows
+    # Sides are built only for the listed cuts the family misses.
+    found = set(rows)
+    missing = {_listed_side(inst, r) for r in range(inst.k + inst.n - 2) if r not in found}
+    surplus = {c.side for c, r in zip(family, rows) if r is None}
+    return tuple(sorted(missing, key=sorted)), tuple(sorted(surplus, key=sorted)), rows
 
 
 def _listed_rows(inst: Instance, family: CutFamily) -> list[int | None]:
@@ -236,56 +230,21 @@ def _listed_side(inst: Instance, r: int) -> frozenset[int]:
     return inst.qset_side(r + 1) if r < k - 1 else inst.nested_side(r - k + 2)
 
 
-def _family_check(inst: Instance, family: CutFamily, rows: list[int | None]) -> FamilyCheck:
-    # Sides are built only for the listed cuts the family misses.
-    found = set(rows)
-    missing_sides = {
-        _listed_side(inst, r) for r in range(inst.k + inst.n - 2) if r not in found
-    }
-    surplus_sides = {c.side for c, r in zip(family, rows) if r is None}
-    missing = tuple(sorted(missing_sides, key=sorted))
-    surplus = tuple(sorted(surplus_sides, key=sorted))
-    return FamilyCheck(ok=not missing and not surplus, missing=missing, surplus=surplus)
-
-
-def verify_basic(inst: Instance, family: CutFamily) -> Certificate:
-    """Certify that the instance's candidate point is a basic solution.
-
-    Sub-checks: every listed cut is below the threshold and in the
-    enumerated family, so its row is a constraint of the LP; every
-    enumerated cut is covered with total at least 1 and every listed cut
-    exactly 1; every coordinate is strictly between its bounds; the
-    incidence matrix of the listed (tight) cuts has full rank m.  A feasible
-    point whose tight constraints have rank m is a vertex.  Each failed
-    sub-check adds an entry to ``failures``, and ``is_basic`` holds exactly
-    when there is none.
-
-    Rank and determinant come from a Bareiss elimination of the m x m
-    matrix: this is the path for callers without a replay, and the path
-    ``certify_instance`` takes when its replay fails.  No replay is run
-    here: ``reduction_ok`` is None.
-    """
-    a = build_incidence_matrix(inst)
-    det_a = det_bareiss(a)
-    # A nonzero integer determinant means full rank over Q; only a singular
-    # matrix is eliminated again, to report its exact rank.
-    rank_a = inst.m if det_a != 0 else rank(a)
-    return _certificate(inst, family, rank_a, det_a)
-
-
-def _certificate(inst: Instance, family: CutFamily, rank_a: int, det_a: int) -> Certificate:
-    """Assemble the certificate from every check but the elimination:
-    ``rank_a`` and ``det_a`` come from the caller, which proved them by a
-    Bareiss elimination or by the replay."""
+def _certificate(
+    inst: Instance, family: CutFamily, traces: tuple[ReductionTrace, ...], error: str | None
+) -> Certificate:
+    """Assemble the certificate from every check and the replay's outcome:
+    its ``traces``, or the ``error`` of a replay that failed, which leaves
+    the rank unproved."""
     failures: list[str] = []
     caps = listed_capacity_table(inst)
     lam = inst.graph.lam
     for label, cap in caps.items():
         if cap >= lam:
             failures.append(f"capacity:{label}")
-    fam, rows = _family(inst, family)
-    if fam.missing:
-        failures.append(f"family:missing={len(fam.missing)}")
+    missing, surplus, rows = _family(inst, family)
+    if missing:
+        failures.append(f"family:missing={len(missing)}")
 
     # Coverage as a numerator over ``den``: covered at least once is
     # ``>= den``, exactly once is ``== den``.  A listed row sums the point
@@ -314,15 +273,19 @@ def _certificate(inst: Instance, family: CutFamily, rank_a: int, det_a: int) -> 
     bounds_strict = all(0 < v < den for v in nums)
     if not bounds_strict:
         failures.append("bounds")
-    if rank_a != inst.m:
-        failures.append(f"rank:{rank_a}!={inst.m}")
+    if error is None:
+        # the replay's block shape gives det A = 2^(k-1) det C
+        rank_a, det_a = inst.m, 2 ** (inst.k - 1) * det_bareiss(build_circulant(inst.k))
+    else:
+        rank_a = det_a = None
+        failures.append("rank:unproved")
 
     return Certificate(
         k=inst.k,
-        family_exact=fam.ok,
+        family_exact=not missing and not surplus,
         family_size=len(family),
-        missing=fam.missing,
-        surplus=fam.surplus,
+        missing=missing,
+        surplus=surplus,
         listed_capacities=caps,
         feasible=feasible,
         tight=tight,
@@ -332,6 +295,9 @@ def _certificate(inst: Instance, family: CutFamily, rank_a: int, det_a: int) -> 
         is_basic=not failures,
         max_coordinate=Fraction(max(nums), den),
         failures=tuple(failures),
+        reduction_ok=error is None,
+        traces=traces,
+        reduction_error=error,
     )
 
 
@@ -389,6 +355,8 @@ def _link_rows(inst: Instance, matrix: IntMatrix | None) -> Sequence[int]:
 
 def _split(inst: Instance, j: int, rows: Sequence[int]) -> int:
     low, high = bracketing_prefixes(inst, j)
+    if not 1 <= low < high < inst.n:
+        raise CertificationError(f"interval row {j}: no prefix cuts {low} and {high} bracket it")
     q, h, l = rows[j - 1], rows[_nested_row(inst, high)], rows[_nested_row(inst, low)]
     # On 0/1 rows, q - h + l is twice the indicator of q & l iff h == q ^ l.
     if h != q ^ l:
@@ -409,16 +377,6 @@ def _split(inst: Instance, j: int, rows: Sequence[int]) -> int:
     if halved >> inst.k & 1:
         raise CertificationError("source-sink link cannot leave an interval cut")
     return halved
-
-
-def reduce_qcut_row(inst: Instance, j: int, matrix: IntMatrix | None = None) -> frozenset[int]:
-    """Split interval row j: subtracting the covering prefix row and adding
-    the disjoint prefix row leaves twice the indicator of the k/2 links that
-    leave the interval downward.  Returns that link set.  The rows are the
-    0/1 rows of ``matrix`` when given, else of ``inst.cut_links``: the split
-    is checked as ``h == q ^ l`` and ``q & l`` as the instance's predicted
-    set."""
-    return frozenset(bit_ids(_split(inst, j, _link_rows(inst, matrix))))
 
 
 def _move_loop(
@@ -568,21 +526,18 @@ def certify_instance(inst: Instance, family: CutFamily) -> Certificate:
     """Full verdict bundle: basic-solution checks plus the reduction replay.
 
     The one code path that assembles a certificate, ``verify`` included.
-    The replay runs first, on the bitset rows of ``inst.cut_links``.  A
-    replay that succeeds proves ``rank A = m``: it only adds and subtracts
-    rows and makes k-1 exact halvings, and it checks the final shape
-    ``[[C^T, 0], [*, L]]`` with ``L`` unit lower triangular and the
-    circulant ``C`` nonsingular.  So ``det A = 2^(k-1) det C``, and neither
-    ``A`` nor any m x m elimination is needed.  A failed replay gives
-    ``reduction_ok`` false, no traces and its message in
-    ``reduction_error``; only then is ``A`` built, once, for
-    ``verify_basic`` to eliminate and report its exact rank.
+    The replay runs first, on the bitset rows of ``inst.cut_links``, and is
+    the only proof of the rank.  A replay that succeeds proves
+    ``rank A = m``: it only adds and subtracts rows and makes k-1 exact
+    halvings, and it checks the final shape ``[[C^T, 0], [*, L]]`` with
+    ``L`` unit lower triangular and the circulant ``C`` nonsingular.  So
+    ``det A = 2^(k-1) det C``, and neither ``A`` nor any m x m elimination
+    is needed.  A failed replay gives ``reduction_ok`` false, no traces,
+    its message in ``reduction_error``, ``rank_a`` and ``det_a`` None and
+    the failure ``rank:unproved``, so ``is_basic`` is false too.
     """
     try:
-        traces = full_reduction(inst)
+        traces = tuple(full_reduction(inst))
     except CertificationError as exc:
-        cert = verify_basic(inst, family)
-        return replace(cert, reduction_ok=False, reduction_error=str(exc))
-    det_a = 2 ** (inst.k - 1) * det_bareiss(build_circulant(inst.k))
-    cert = _certificate(inst, family, inst.m, det_a)
-    return replace(cert, reduction_ok=True, traces=tuple(traces))
+        return _certificate(inst, family, (), str(exc))
+    return _certificate(inst, family, traces, None)

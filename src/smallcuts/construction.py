@@ -91,12 +91,6 @@ class Instance:
         one)."""
         return tuple(listed_sums(self, ((l.lo, l.hi, 1 << l.id) for l in self.links)))
 
-    def nested_cut_links(self, i: int) -> frozenset[int]:
-        """Ids of links crossing the prefix cut {1..i} | {i+1..n}."""
-        if not 1 <= i <= self.n - 1:
-            raise ValueError(f"nested index {i} out of range 1..{self.n - 1}")
-        return frozenset(bit_ids(self.cut_links[self.k - 2 + i]))
-
     def qcut_links(self, j: int) -> frozenset[int]:
         """Ids of links with exactly one endpoint in interval j."""
         if not 1 <= j <= self.k - 1:

@@ -8,19 +8,14 @@ Every quantity that feeds a certification verdict is an exact integer or a
 `fractions.Fraction`; there is no floating point in this module.  An
 `IntMatrix` refuses any entry that is not a Python `int`, and the
 elimination works on lists of Python ints, so nothing is truncated or
-overflows.  `Rat` is the rational scalar type used for coverage sums and
-solution coordinates (stdlib Fraction already guarantees a positive,
-gcd-reduced denominator).
+overflows.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
-
-Rat = Fraction
 
 
 @dataclass(frozen=True)
@@ -52,10 +47,6 @@ class IntMatrix:
                 raise ValueError("ragged rows")
             flat.extend(map(operator.index, r))
         return cls(nrows, ncols, tuple(flat))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     def at(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):

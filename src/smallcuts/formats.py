@@ -174,7 +174,7 @@ def certificate_to_doc(
         "tight": cert.tight,
         "bounds_strict": cert.bounds_strict,
         "rank_A": cert.rank_a,
-        "det_A": str(cert.det_a),
+        "det_A": None if cert.det_a is None else str(cert.det_a),
         "is_basic": cert.is_basic,
         "max_coordinate": frac_str(cert.max_coordinate),
         "failures": list(cert.failures),

@@ -16,10 +16,9 @@ import pytest
 from smallcuts import cli
 from smallcuts.certify import (
     CertificationError,
+    certify_instance,
     full_reduction,
     listed_capacity_table,
-    verify_basic,
-    verify_family,
 )
 from smallcuts.construction import (
     build_circulant,
@@ -64,7 +63,7 @@ def listed_family(inst) -> CutFamily:
 def certificate(k):
     if k not in _certificates:
         inst = instance(k)
-        _certificates[k] = verify_basic(inst, listed_family(inst))
+        _certificates[k] = certify_instance(inst, listed_family(inst))
     return _certificates[k]
 
 
@@ -131,7 +130,7 @@ def test_criterion_4_enumeration_and_probe():
     t_brute4 = time.perf_counter() - started
     assert t_brute4 < 1.0
     assert len(fam4) == 10 == (inst4.n - 1) + (inst4.k - 1)
-    assert verify_family(inst4, fam4)
+    assert certify_instance(inst4, fam4).family_exact
 
     started = time.perf_counter()
     inst6 = instance(6)
@@ -140,7 +139,7 @@ def test_criterion_4_enumeration_and_probe():
     t_brute6 = time.perf_counter() - started
     assert t_brute6 < 1.0
     assert len(fam6) == 21 == (inst6.n - 1) + (inst6.k - 1)
-    assert verify_family(inst6, fam6)
+    assert certify_instance(inst6, fam6).family_exact
 
     # flow-bounded enumeration agrees, and extends to k=8
     assert enumerate_flow(inst4.graph).sides() == fam4.sides()
@@ -151,7 +150,7 @@ def test_criterion_4_enumeration_and_probe():
     t_flow8 = time.perf_counter() - started
     assert t_flow8 < 300.0
     assert len(fam8) == 36 == (inst8.n - 1) + (inst8.k - 1)
-    assert verify_family(inst8, fam8)
+    assert certify_instance(inst8, fam8).family_exact
 
     # seeded contraction probe at k in {8, 10}: nothing outside the family
     probe_stats = []
@@ -177,7 +176,8 @@ def test_criterion_5_basic_solution_certificates():
         assert cert.is_basic, k
         assert cert.max_coordinate == Fraction(1, k), k
         assert cert.rank_a == expected_rank[k] == instance(k).m, k
-        assert cert.det_a != 0, k
+        # the replay's determinant, against a Bareiss elimination of A itself
+        assert cert.det_a == det_bareiss(build_incidence_matrix(instance(k))) != 0, k
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     print(f"ACCEPTANCE 5 PASS: is_basic with max coordinate exactly 1/k and "
@@ -245,7 +245,7 @@ def test_criterion_8_mutation_suite():
             )
             xs = list(inst.xstar)
             xs[idx] = wrong
-            cert = verify_basic(dataclasses.replace(inst, xstar=tuple(xs)), family)
+            cert = certify_instance(dataclasses.replace(inst, xstar=tuple(xs)), family)
             assert cert.is_basic == (not cert.failures), (k, idx, wrong)
             assert not cert.is_basic, (k, idx, wrong)
             assert not cert.tight or not cert.bounds_strict, (k, idx, wrong)
@@ -257,8 +257,8 @@ def test_criterion_8_mutation_suite():
             pruned = CutFamily.collect(
                 (c for c in family if c.side != removed), family.lam
             )
-            check = verify_family(inst, pruned)
-            assert not check.ok
+            check = certify_instance(inst, pruned)
+            assert not check.family_exact
             assert check.missing == (removed,)
             detected["cut"] += 1
 

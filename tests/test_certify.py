@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from smallcuts import certify, cli, construction, cuts, exactmath
+import smallcuts
+from smallcuts import certify, cli, construction, cuts, exactmath, formats
 from smallcuts.certify import (
     CertificationError,
     FamilySizeError,
@@ -16,9 +17,6 @@ from smallcuts.certify import (
     full_reduction,
     listed_capacity_table,
     push_to_source,
-    reduce_qcut_row,
-    verify_basic,
-    verify_family,
 )
 from smallcuts.construction import (
     build_circulant,
@@ -51,6 +49,11 @@ def family4(inst4):
 @pytest.fixture(scope="module")
 def family6(inst6):
     return enumerate_flow(inst6.graph)
+
+
+def _prefix_links(inst, i):
+    """Ids of the links crossing prefix cut i."""
+    return frozenset(construction.bit_ids(inst.cut_links[inst.k - 2 + i]))
 
 
 def _flipped(a, entries):
@@ -94,7 +97,7 @@ class TestCoverage:
     def test_every_prefix_cut_meets_all_paths(self, inst6):
         # each prefix cut holds exactly one link of each of the k paths
         for i in range(1, inst6.n):
-            links = inst6.nested_cut_links(i)
+            links = _prefix_links(inst6, i)
             assert len(links) == inst6.k
             paths = [inst6.link(l).path for l in links]
             assert sorted(paths) == list(range(1, inst6.k + 1))
@@ -119,33 +122,34 @@ class TestCapacityTable:
     def test_offending_cut_named(self, inst4, family4):
         bad_graph = dataclasses.replace(inst4.graph, lam=4)
         bad = dataclasses.replace(inst4, graph=bad_graph)
-        cert = verify_basic(bad, family4)
+        cert = certify_instance(bad, family4)
         assert "capacity:Q_1" in cert.failures
         assert not cert.is_basic
 
 
 class TestVerifyFamily:
+    # the family verdict of certify_instance: family_exact, missing, surplus
     def test_exact_family_passes(self, inst4, family4):
-        assert verify_family(inst4, family4)
+        assert certify_instance(inst4, family4).family_exact
 
     def test_flow_family_k6(self, inst6, family6):
-        assert verify_family(inst6, family6)
+        assert certify_instance(inst6, family6).family_exact
 
     def test_missing_cut_reported(self, inst4, family4):
         removed = inst4.qset_side(3)
         pruned = CutFamily.collect(
             (c for c in family4 if c.side != removed), family4.lam
         )
-        check = verify_family(inst4, pruned)
-        assert not check
+        check = certify_instance(inst4, pruned)
+        assert not check.family_exact
         assert check.missing == (removed,)
         assert check.surplus == ()
 
     def test_surplus_cut_reported(self, inst4, family4):
         extra = Cut(side=frozenset({5}), capacity=4)  # fake: not actually small
         padded = CutFamily.collect(list(family4) + [extra], family4.lam)
-        check = verify_family(inst4, padded)
-        assert not check
+        check = certify_instance(inst4, padded)
+        assert not check.family_exact
         assert check.surplus == (frozenset({5}),)
 
     @pytest.mark.parametrize("k", (4, 6))
@@ -165,17 +169,14 @@ class TestVerifyFamily:
 
         missing = tuple(sorted(set(listed) - set(sides), key=sorted))
         surplus = tuple(sorted(set(sides) - set(listed), key=sorted))
-        check = verify_family(inst, family)
-        assert (check.missing, check.surplus) == (missing, surplus)
-        assert check.ok == (not missing and not surplus)
-
         failures = [f"family:missing={len(missing)}"] if missing else []
         for s in sides:
             crossing = [l for l in inst.links if (l.lo in s) != (l.hi in s)]
             if sum((inst.xstar[l.id - 1] for l in crossing), Fraction(0)) < 1:
                 failures.append(f"coverage:{sorted(s)}")
-        cert = verify_basic(inst, family)
+        cert = certify_instance(inst, family)
         assert (cert.missing, cert.surplus, cert.failures) == (missing, surplus, tuple(failures))
+        assert cert.family_exact == (not missing and not surplus)
 
 
 @st.composite
@@ -207,7 +208,7 @@ def _listed_count(inst, family):
 
 
 class TestCountingVerdict:
-    """``verify_family`` on a frontier family compares counts, not sides."""
+    """The family verdict on a frontier family compares counts, not sides."""
 
     @pytest.mark.parametrize("k", (4, 6))
     @given(data=st.data())
@@ -223,15 +224,15 @@ class TestCountingVerdict:
         mutated = dataclasses.replace(inst, graph=g)
         if len(family) > family_walk_budget(mutated):
             with pytest.raises(FamilySizeError, match=f"has {len(family)} cuts"):
-                verify_family(mutated, family)
+                certify_instance(mutated, family)
             check = None
         else:
-            check = verify_family(mutated, family)
+            check = certify_instance(mutated, family)
         listed = {side for _, side in listed_small_cuts(inst)}
         sides = family.sides()
         assert _listed_count(mutated, family) == len(sides & listed)
         if check is not None:
-            assert check.ok == (sides == listed)
+            assert check.family_exact == (sides == listed)
             assert check.missing == tuple(sorted(listed - sides, key=sorted))
             assert check.surplus == tuple(sorted(sides - listed, key=sorted))
         else:
@@ -250,8 +251,8 @@ class TestCountingVerdict:
         moved = dataclasses.replace(inst6, qsets=tuple(qsets))
         listed = {side for _, side in listed_small_cuts(moved)}
         assert _listed_count(moved, family6) == len(family6.sides() & listed) == len(family6) - 1
-        assert not verify_family(moved, family6).ok
-        assert not verify_family(moved, CutFamily.collect(family6, family6.lam)).ok
+        assert not certify_instance(moved, family6).family_exact
+        assert not certify_instance(moved, CutFamily.collect(family6, family6.lam)).family_exact
 
     @pytest.mark.parametrize("k", (4, 6))
     @pytest.mark.parametrize("lowered", ("all", "two links"))
@@ -275,8 +276,8 @@ class TestCountingVerdict:
         listed = {side for _, side in listed_small_cuts(inst4)}
         found = set(scan_small_cuts(g.n, g.edges, g.lam))
         assert 10 < len(found) <= family_walk_budget(inst4) == 20
-        check = verify_family(dataclasses.replace(inst4, graph=g), family)
-        assert not check.ok and check.missing == ()
+        check = certify_instance(dataclasses.replace(inst4, graph=g), family)
+        assert not check.family_exact and check.missing == ()
         assert check.surplus == tuple(sorted(found - listed, key=sorted))
 
     def test_family_past_the_budget_names_both_counts(self, inst4, monkeypatch):
@@ -292,12 +293,13 @@ class TestCountingVerdict:
         monkeypatch.setattr(cuts.FrontierFamily, "cuts", property(walked))
         message = f"has {len(found)} cuts, {within} of them listed, against 10 listed cuts"
         with pytest.raises(FamilySizeError, match=message):
-            verify_family(dataclasses.replace(inst4, graph=g), family)
+            certify_instance(dataclasses.replace(inst4, graph=g), family)
 
 
 class TestVerifyBasic:
+    # the basic-solution checks of certify_instance
     def test_k4(self, inst4, family4):
-        cert = verify_basic(inst4, family4)
+        cert = certify_instance(inst4, family4)
         assert cert.is_basic == (not cert.failures)
         assert cert.is_basic
         assert cert.rank_a == 10
@@ -306,7 +308,7 @@ class TestVerifyBasic:
         assert cert.failures == ()
 
     def test_k6(self, inst6, family6):
-        cert = verify_basic(inst6, family6)
+        cert = certify_instance(inst6, family6)
         assert cert.is_basic == (not cert.failures)
         assert cert.is_basic
         assert cert.rank_a == 21
@@ -316,7 +318,7 @@ class TestVerifyBasic:
         xs = list(inst4.xstar)
         xs[0] = Fraction(1, 2)
         mutated = dataclasses.replace(inst4, xstar=tuple(xs))
-        cert = verify_basic(mutated, family4)
+        cert = certify_instance(mutated, family4)
         assert cert.is_basic == (not cert.failures)
         assert not cert.is_basic
         assert not cert.tight
@@ -326,7 +328,7 @@ class TestVerifyBasic:
         xs = list(inst4.xstar)
         xs[3] = Fraction(1)
         mutated = dataclasses.replace(inst4, xstar=tuple(xs))
-        cert = verify_basic(mutated, family4)
+        cert = certify_instance(mutated, family4)
         assert cert.is_basic == (not cert.failures)
         assert not cert.is_basic
         assert not cert.bounds_strict
@@ -345,7 +347,7 @@ class TestVerifyBasic:
             xs = list(inst4.xstar)
             for i, x in edit.items():
                 xs[i] = x
-            cert = verify_basic(dataclasses.replace(inst4, xstar=tuple(xs)), family4)
+            cert = certify_instance(dataclasses.replace(inst4, xstar=tuple(xs)), family4)
             strict = all(0 < x < 1 for x in xs)
             assert cert.bounds_strict == strict, edit
             assert ("bounds" in cert.failures) == (not strict), edit
@@ -354,14 +356,14 @@ class TestVerifyBasic:
     def test_uncovered_surplus_cut_is_infeasible(self, inst4, family4):
         # {2} is crossed by links 1 and 5 only, so it is covered 2 * 1/4 < 1
         extra = Cut(side=frozenset({2}), capacity=4)
-        cert = verify_basic(inst4, CutFamily(family4.cuts + (extra,), 5))
+        cert = certify_instance(inst4, CutFamily(family4.cuts + (extra,), 5))
         assert cert.is_basic == (not cert.failures)
         assert not cert.feasible and not cert.is_basic
         assert "coverage:[2]" in cert.failures
 
     def test_empty_family_is_not_a_vertex(self, inst4):
         # the listed rows are no LP constraints unless the family holds them
-        cert = verify_basic(inst4, CutFamily((), 5))
+        cert = certify_instance(inst4, CutFamily((), 5))
         assert cert.is_basic == (not cert.failures)
         assert not cert.is_basic
         assert len(cert.missing) == inst4.m
@@ -374,27 +376,25 @@ class TestVerifyBasic:
         heavy = dataclasses.replace(
             inst4, graph=dataclasses.replace(inst4.graph, edges=tuple(edges))
         )
-        cert = verify_basic(heavy, family4)
+        cert = certify_instance(heavy, family4)
         assert cert.is_basic == (not cert.failures)
         assert "capacity:N_1" in cert.failures
         assert not cert.is_basic
 
     def test_singular_matrix_reports_its_rank(self, inst4, family4):
-        # links 5 and 6 given the same endpoints: two equal columns
+        # links 5 and 6 given the same endpoints: two equal columns, so A is
+        # singular; the replay refuses link 6's indexing, and no other path
+        # computes a rank, so the rank is reported unproved
         links = list(inst4.links)
         links[5] = links[5]._replace(lo=links[4].lo, hi=links[4].hi)
         degenerate = dataclasses.replace(inst4, links=tuple(links))
-        cert = verify_basic(degenerate, family4)
+        assert rational_rank(build_incidence_matrix(degenerate).to_rows()) < degenerate.m
+        cert = certify_instance(degenerate, family4)
         assert cert.is_basic == (not cert.failures)
-        assert cert.det_a == 0
-        assert cert.rank_a == rational_rank(build_incidence_matrix(degenerate).to_rows())
-        assert cert.rank_a < degenerate.m
-        assert not cert.is_basic
-        assert f"rank:{cert.rank_a}!={degenerate.m}" in cert.failures
-        # the replay fails on it, and the fallback elimination gives the same
-        full = certify_instance(degenerate, family4)
-        assert full.reduction_ok is False and full.reduction_error
-        assert (full.det_a, full.rank_a, full.failures) == (0, cert.rank_a, cert.failures)
+        assert not cert.is_basic and cert.reduction_ok is False
+        assert "not indexed as the replay reads it" in cert.reduction_error
+        assert (cert.rank_a, cert.det_a) == (None, None)
+        assert cert.failures[-1] == "rank:unproved"
 
     @pytest.mark.parametrize("k", (4, 6, 8, 10, 12))
     def test_replay_determinant_matches_bareiss(self, k):
@@ -407,7 +407,7 @@ class TestVerifyBasic:
     def test_det_k4_matches_rational_oracle(self, inst4):
         a = build_incidence_matrix(inst4)
         assert rational_det(a.to_rows()) == 16
-        cert = verify_basic(inst4, enumerate_bruteforce(inst4.graph))
+        cert = certify_instance(inst4, enumerate_bruteforce(inst4.graph))
         assert cert.det_a == 16
 
     @pytest.mark.parametrize("k", (4, 6))
@@ -443,27 +443,27 @@ class TestBracketingPrefixes:
 
 
 class TestReduceQcutRow:
+    # the split of each interval row, read from the replay's traces
     def test_k4_halved_sets(self, inst4):
-        assert reduce_qcut_row(inst4, 1) == frozenset({1, 3})
-        assert reduce_qcut_row(inst4, 2) == frozenset({2, 5})
-        assert reduce_qcut_row(inst4, 3) == frozenset({6, 8})
+        halved = [t.halved for t in full_reduction(inst4)]
+        assert halved == [frozenset({1, 3}), frozenset({2, 5}), frozenset({6, 8})]
 
     @pytest.mark.parametrize("k", (4, 6, 8))
     def test_halved_set_shape(self, k):
         inst = build_instance(k)
-        for j in range(1, k):
-            links = reduce_qcut_row(inst, j)
-            assert len(links) == k // 2
-            assert k not in links
+        for j, t in enumerate(full_reduction(inst), start=1):
+            assert t.qrow == j
+            assert len(t.halved) == k // 2
+            assert k not in t.halved
             low, _ = bracketing_prefixes(inst, j)
-            assert links <= inst.nested_cut_links(low)
+            assert t.halved <= _prefix_links(inst, low)
 
     def test_flipped_entry_detected(self, inst4):
         a = build_incidence_matrix(inst4)
         row = a.row(0)
         row[1] ^= 1
-        with pytest.raises(CertificationError):
-            reduce_qcut_row(inst4, 1, matrix=a.with_row(0, row))
+        with pytest.raises(CertificationError, match="interval row 1: prefix row 3"):
+            full_reduction(inst4, matrix=a.with_row(0, row))
 
 
 class TestPushToSource:
@@ -545,7 +545,7 @@ class TestFullReduction:
         # the same flip in the interval row and its covering prefix row
         # keeps h == q ^ l, but not the predicted set q & l
         low, high = bracketing_prefixes(inst4, 1)
-        x = min(inst4.qcut_links(1) & inst4.nested_cut_links(low))
+        x = min(inst4.qcut_links(1) & _prefix_links(inst4, low))
         flipped = _flipped(a, [(0, x - 1), (inst4.k - 2 + high, x - 1)])
         with pytest.raises(CertificationError, match="interval row 1: split leaves"):
             full_reduction(inst4, matrix=flipped)
@@ -701,16 +701,15 @@ class TestFullReduction:
         monkeypatch.setattr(exactmath, "_eliminate", counted)
         builds = _count_calls(monkeypatch, "build_incidence_matrix")
         cert = certify_instance(inst4, family4)
-        # the replay proved nothing, so A is built for the fallback, once
-        assert len(builds) == 1
-        assert cert.reduction_ok is False and cert.is_basic
+        # the replay proved nothing, and no other path proves a rank: A is
+        # neither built nor eliminated, and the rank is reported unproved
+        assert builds == [] and (inst4.m, inst4.m) not in shapes
+        assert cert.reduction_ok is False and not cert.is_basic
         assert cert.traces == ()
         assert "no move from here" in cert.reduction_error
-        assert cert.false_verdicts == ("reduction_ok",)
-        # the replay proved nothing, so A itself is eliminated, once
-        assert shapes.count((inst4.m, inst4.m)) == 1
-        assert cert.rank_a == inst4.m
-        assert cert.det_a == rational_det(build_incidence_matrix(inst4).to_rows()) == 16
+        assert cert.false_verdicts == ("is_basic", "reduction_ok")
+        assert (cert.rank_a, cert.det_a) == (None, None)
+        assert cert.failures == ("rank:unproved",)
 
     @pytest.mark.parametrize("edit", ({"lo": 4, "hi": 6}, {"path": 0}, {"path": 5}))
     def test_link_indexing_checked(self, inst4, edit):
@@ -721,6 +720,15 @@ class TestFullReduction:
         links[5] = links[5]._replace(**edit)
         with pytest.raises(CertificationError, match="not indexed as the replay reads it"):
             full_reduction(dataclasses.replace(inst4, links=tuple(links)))
+
+    def test_unbracketed_interval_refused(self, inst6, family6):
+        # an interval that reaches node n lies in no prefix cut, so the
+        # replay has no covering prefix row to split it by
+        q = inst6.qsets[-1]
+        moved = dataclasses.replace(inst6, qsets=inst6.qsets[:-1] + (q._replace(last=q.last + 1),))
+        with pytest.raises(CertificationError, match="interval row 5: no prefix cuts 13 and 17"):
+            full_reduction(moved)
+        assert certify_instance(moved, family6).failures[-1] == "rank:unproved"
 
     @pytest.mark.parametrize("k", (4, 6, 8))
     def test_prefix_flip_or_path_swap_is_sound(self, k):
@@ -813,26 +821,19 @@ def test_certify_instance_sets_reduction_flag(inst4, family4):
     assert cert.false_verdicts == ()
 
 
-def test_false_verdicts_without_replay(inst4, family4):
-    # verify_basic runs no replay, so reduction_ok is not yet true
-    assert verify_basic(inst4, family4).false_verdicts == ("reduction_ok",)
-    cert = verify_basic(inst4, CutFamily((), 5))
-    assert cert.false_verdicts == ("is_basic", "family_exact", "reduction_ok")
-
-
 def _count_calls(monkeypatch, name):
-    """Record the first argument of every call of ``certify.<name>``, and of
-    the construction function of that name, which certify imports."""
+    """Record the first argument of every call of the package function
+    ``name``, made through any module of the package that holds it."""
     calls = []
-    real = getattr(certify, name)
+    real = getattr(smallcuts, name)
 
     def counted(inst, *args, **kwargs):
         calls.append(inst)
         return real(inst, *args, **kwargs)
 
-    monkeypatch.setattr(certify, name, counted)
-    if hasattr(construction, name):
-        monkeypatch.setattr(construction, name, counted)
+    for module in (smallcuts, certify, cli, construction, formats):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -858,3 +859,69 @@ def test_one_elimination_per_certificate(inst6, family6, monkeypatch, tmp_path):
     assert cli.main(["verify", "-k", "6", "--strategy", "flow", "--out", str(out)]) == 0
     assert shapes == [(5, 5), (5, 5)]
     assert (len(builds), len(replays)) == (0, 1)
+
+
+@pytest.mark.parametrize("replay", ("succeeds", "fails"))
+def test_no_dense_matrix_at_k94(monkeypatch, replay):
+    # k = 94 has m = 4465: no m x m matrix is built or eliminated, whether
+    # the replay proves the rank or fails and leaves it unproved
+    inst = build_instance(94)
+    family = enumerate_flow(inst.graph)
+    if replay == "fails":
+
+        def broken(inst, rows, links):
+            raise CertificationError("no move from here")
+
+        monkeypatch.setattr(certify, "_move_loop", broken)
+    built, eliminated = [], []
+    post_init, eliminate = IntMatrix.__post_init__, exactmath._eliminate
+
+    def recorded(self):
+        built.append((self.rows, self.cols))
+        post_init(self)
+
+    def counted(m):
+        eliminated.append((m.rows, m.cols))
+        return eliminate(m)
+
+    monkeypatch.setattr(IntMatrix, "__post_init__", recorded)
+    monkeypatch.setattr(exactmath, "_eliminate", counted)
+    cert = certify_instance(inst, family)
+    assert all(rows < inst.k for rows, _ in built + eliminated)
+    if replay == "succeeds":
+        assert not cert.false_verdicts and eliminated == [(93, 93), (93, 93)]
+        assert (cert.rank_a, cert.det_a) == (inst.m, 94 * 2**92)
+    else:
+        assert eliminated == [] and cert.false_verdicts == ("is_basic", "reduction_ok")
+        assert (cert.rank_a, cert.det_a, cert.failures) == (None, None, ("rank:unproved",))
+
+
+@pytest.mark.parametrize("k", (4, 6, 8, 10))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_shuffled_documents_certify(k, data):
+    # Valid instances that build_instance does not make: the intervals take
+    # the chain's positions in a random order, and the paths that meet an
+    # interval take its nodes in a random order.  Each document loads, and
+    # its certificate proves the rank and determinant by the replay.
+    inst = build_instance(k)
+    n, half = inst.n, k // 2
+    order = data.draw(st.permutations(range(1, k)), label="interval at each position")
+    first = {j: 2 + p * half for p, j in enumerate(order)}
+    links = [[i, 1, n, i] for i in range(1, k + 1)]
+    last = list(range(-1, k))  # last[i]: position in links of path i's latest link
+    for j in order:
+        paths = data.draw(st.permutations(construction.meeting_paths(k, j)), label=f"paths of {j}")
+        for i, v in zip(paths, range(first[j], first[j] + half)):
+            links[last[i]][2] = v
+            last[i] = len(links)
+            links.append([k + v - 1, v, n, i])
+    doc = formats.instance_to_doc(inst)
+    doc["qsets"] = [[first[j], first[j] + half - 1] for j in range(1, k)]
+    doc["links"] = links
+    shuffled = formats.instance_from_doc(doc)
+    cert = certify_instance(shuffled, enumerate_flow(shuffled.graph))
+    assert not cert.false_verdicts and cert.reduction_ok
+    assert (cert.rank_a, cert.det_a) == (shuffled.m, k * 2 ** (k - 2))
+    if k <= 6:
+        assert rational_det(build_incidence_matrix(shuffled).to_rows()) == cert.det_a

@@ -244,7 +244,6 @@ class TestInstance:
             (inst.qset_side, (0, 4), "interval index {} out of range 1..3"),
             (inst.nested_side, (0, 8), "nested index {} out of range 1..7"),
             (inst.qcut_links, (0, 4), "interval index {} out of range 1..3"),
-            (inst.nested_cut_links, (0, 8), "nested index {} out of range 1..7"),
         ]
         for accessor, bad, message in cases:
             for i in bad:

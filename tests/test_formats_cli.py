@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from smallcuts import __version__, certify, cli, cuts
-from smallcuts.certify import certify_instance, verify_basic
+from smallcuts.certify import CertificationError, certify_instance
 from smallcuts.construction import build_incidence_matrix, build_instance, listed_small_cuts
-from smallcuts.cuts import CutFamily, enumerate_bruteforce, enumerate_flow
+from smallcuts.cuts import CutFamily, enumerate_flow
 from smallcuts.formats import (
     certificate_to_doc,
     dump_json,
@@ -430,6 +430,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "no move from here" in err and "Traceback" not in err
 
+    def test_failed_replay_leaves_rank_unproved(self, tmp_path, monkeypatch, capsys):
+        # no other path proves the rank, so the document holds none
+        def broken(inst, rows, links):
+            raise CertificationError("no move from here")
+
+        monkeypatch.setattr(certify, "_move_loop", broken)
+        out = tmp_path / "cert.json"
+        assert cli.main(["verify", "-k", "8", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "certification failed: is_basic" in err
+        assert "certification failed: reduction_ok" in err
+        doc = json.loads(out.read_text())
+        assert doc["rank_A"] is None and doc["det_A"] is None
+        assert doc["is_basic"] is False and doc["reduction_ok"] is False
+        assert doc["failures"] == ["rank:unproved"]
+        assert '"rank_A": null,\n  "det_A": null,' in out.read_text()
+
     @pytest.mark.parametrize("strays", ((), ({3, 4},), ({6}, {3, 4})))
     def test_probe_containment(self, tmp_path, monkeypatch, capsys, strays):
         # the probe is replaced by a family of listed cuts plus the given
@@ -504,7 +521,7 @@ class TestCli:
         monkeypatch.setattr(cuts, "Cut", refused)
         monkeypatch.setattr(cuts.CutFamily, "collect", refused)
         monkeypatch.setattr(certify, "_listed_rows", refused)
-        monkeypatch.setattr(certify, "_family_check", refused)
+        monkeypatch.setattr(certify, "_listed_side", refused)
         out = tmp_path / "cert.json"
         assert cli.main(["verify", "-k", "28", "--strategy", "flow", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
@@ -553,20 +570,14 @@ class TestCli:
         assert out.exists()
 
 
-def test_verify_basic_with_mutated_family_fails_cli_style():
-    inst = build_instance(4)
-    family = enumerate_bruteforce(inst.graph)
-    cert = verify_basic(inst, family)
-    assert cert.family_exact and cert.is_basic
-
-
 @pytest.mark.parametrize(
     "argv, name",
     (
         (["verify", "-k", "8", "--strategy", "flow", "--trace"], "verify_k8_flow_trace.json"),
         (["reduce", "-k", "8"], "reduce_k8.txt"),
+        (["verify", "-k", "6", "--strategy", "both"], "verify_k6_both.json"),
     ),
-    ids=("verify", "reduce"),
+    ids=("verify", "reduce", "verify-both"),
 )
 def test_documents_match_golden(argv, name, capsys):
     # The documents are byte for byte those of the files under golden/, apart
