@@ -10,8 +10,9 @@ indicator rows, which also gives the determinant from that of the
 (k-1) x (k-1) circulant.  The replay works on 0/1 rows held as Python-int
 bitsets, bit ``l`` for link ``l``, those of ``Instance.cut_links``: each row
 operation is a few word operations, computed once and accepted only under
-the exact identity that makes it that row operation.  No m x m matrix is
-built or eliminated; a replay that fails leaves the rank unproved.
+the exact identity that makes it that row operation; the move loop reads
+no link.  No m x m matrix is built or eliminated; a replay that fails
+leaves the rank unproved.
 """
 
 from __future__ import annotations
@@ -217,7 +218,8 @@ def _listed_rows(inst: Instance, family: CutFamily) -> list[int | None]:
     for c in family:
         side, row = c.side, None
         if side:
-            lo, hi = min(side), max(side)
+            ordered = sorted(side)  # nearly in order: faster than min and max
+            lo, hi = ordered[0], ordered[-1]
             if hi - lo + 1 == len(side):
                 row = k - 3 + lo if hi == n and lo >= 2 else qrow.get((lo, hi))
         rows.append(row)
@@ -314,11 +316,6 @@ def bracketing_prefixes(inst: Instance, j: int) -> tuple[int, int]:
     return q.first - 1, q.last
 
 
-def _nested_row(inst: Instance, i: int) -> int:
-    # 0-based row of prefix cut i in the incidence matrix (after the k-1 interval rows)
-    return (inst.k - 1) + (i - 1)
-
-
 # bytes of 0/1 entries -> the ASCII digits int(..., 2) reads
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -330,8 +327,8 @@ def _link_rows(inst: Instance, matrix: IntMatrix | None) -> Sequence[int]:
 
     The replay reads the largest ``lo`` of a link set from its top bit: link
     ``f`` starts at node 1 for ``f <= k`` and at ``f - k + 1`` after that,
-    as ``validate_instance`` requires.  That indexing, and a path in 1..k
-    for every link, is checked here, once per call."""
+    as ``validate_instance`` requires, and source link ``f`` is on path ``f``.
+    That indexing, and a path in 1..k for every link, is checked once per call."""
     k, m = inst.k, inst.m
     if matrix is not None:
         if matrix.rows != m or matrix.cols != m:
@@ -339,7 +336,8 @@ def _link_rows(inst: Instance, matrix: IntMatrix | None) -> Sequence[int]:
         if not set(matrix.entries) <= {0, 1}:
             raise CertificationError("matrix has an entry outside {0, 1}")
     for f, l in enumerate(inst.links, start=1):
-        if (l.id, l.lo) != (f, max(f - k + 1, 1)) or not 1 <= l.path <= k:
+        on_path = l.path == f if f <= k else 1 <= l.path <= k
+        if (l.id, l.lo) != (f, max(f - k + 1, 1)) or not on_path:
             raise CertificationError(
                 f"link {list(l)} at position {f} is not indexed as the replay reads it"
             )
@@ -353,11 +351,11 @@ def _link_rows(inst: Instance, matrix: IntMatrix | None) -> Sequence[int]:
     ]
 
 
-def _split(inst: Instance, j: int, rows: Sequence[int]) -> int:
-    low, high = bracketing_prefixes(inst, j)
+def _split(inst: Instance, j: int, rows: Sequence[int], low: int, high: int) -> int:
     if not 1 <= low < high < inst.n:
         raise CertificationError(f"interval row {j}: no prefix cuts {low} and {high} bracket it")
-    q, h, l = rows[j - 1], rows[_nested_row(inst, high)], rows[_nested_row(inst, low)]
+    # prefix cut i is row k-2+i
+    q, h, l = rows[j - 1], rows[inst.k - 2 + high], rows[inst.k - 2 + low]
     # On 0/1 rows, q - h + l is twice the indicator of q & l iff h == q ^ l.
     if h != q ^ l:
         raise CertificationError(
@@ -365,7 +363,7 @@ def _split(inst: Instance, j: int, rows: Sequence[int]) -> int:
             f"of the interval row and prefix row {low}"
         )
     halved = q & l
-    expected = inst.cut_links[j - 1] & inst.cut_links[_nested_row(inst, low)]
+    expected = inst.cut_links[j - 1] & inst.cut_links[inst.k - 2 + low]
     if halved != expected:
         raise CertificationError(
             f"interval row {j}: split leaves {bit_ids(halved)}, not {bit_ids(expected)}"
@@ -379,34 +377,20 @@ def _split(inst: Instance, j: int, rows: Sequence[int]) -> int:
     return halved
 
 
-def _move_loop(
-    inst: Instance, rows: Sequence[int], links: Iterable[int]
-) -> tuple[frozenset[int], tuple[MoveStep, ...]]:
-    """``push_to_source`` on the given rows.  A move takes the current set
-    ``cur`` to ``add - (sub - cur)`` for the rows ``sub`` and ``add`` of two
-    prefix cuts; on 0/1 rows that is the row ``cur - sub + add`` iff
-    ``cur <= sub`` and ``sub - cur <= add``, so both are checked, as word
-    operations on the bitsets.
-
-    The paths the set touches are compared once, after the last move, with
-    those the given links touch; no move decodes its set.  The replay's
-    proof does not read this check: its row identities and its final
-    column check imply it."""
-    current = frozenset(links)
+def _move_loop(inst: Instance, rows: Sequence[int], cur: int) -> tuple[int, tuple[MoveStep, ...]]:
+    """The bitset the moves take the link set ``cur`` to, and the moves.  A
+    move takes ``cur`` to ``add - (sub - cur)`` for the rows ``sub`` and
+    ``add`` of two prefix cuts; on 0/1 rows that is the row
+    ``cur - sub + add`` iff ``cur <= sub`` and ``sub - cur <= add``, so
+    both are checked as word operations, and it must leave links and lower
+    the containing prefix cut.  The caller vouches for ``cur``; no link is
+    read, and a set is decoded only to name it in a refusal."""
     k = inst.k
-    if len(current) != k // 2:
-        raise ValueError(f"need exactly {k // 2} links, got {len(current)}")
-    if k in current:
-        raise ValueError("the source-sink link cannot be moved")
-    paths = frozenset(inst.link(l).path for l in current)
-    high = max(inst.link(l).lo for l in current)
-    if high >= min(inst.link(l).hi for l in current):
-        raise ValueError("link set is not contained in any prefix cut")
-    cur = sum(1 << l for l in current)
+    # prefix cut i is row k-2+i; the largest lo of a nonempty set is read
+    # from its top bit, link id f > k having lo = f - k + 1
+    high = max(cur.bit_length() - k, 1)
     moves: list[MoveStep] = []
     while high > 1:
-        # prefix cut i is row k-2+i; the largest lo of a nonempty set is
-        # read from its top bit, link id f > k having lo = f - k + 1
         sub = rows[k - 2 + high]
         if cur & ~sub:
             raise CertificationError(f"link set {bit_ids(cur)} not inside prefix cut {high}")
@@ -429,16 +413,7 @@ def _move_loop(
             raise CertificationError(f"move {high}->{low} made no progress")
         moves.append(MoveStep(sub_nested=high, add_nested=low, bits=new))
         cur, high = new, new_high
-    if not moves:
-        return current, ()
-    final = frozenset(bit_ids(cur))
-    touched = frozenset(inst.link(l).path for l in final)
-    if touched != paths:
-        raise CertificationError(
-            f"the moves changed the touched paths from {sorted(paths)} to "
-            f"{sorted(touched)} ({sorted(current)} -> {sorted(final)})"
-        )
-    return final, tuple(moves)
+    return cur, tuple(moves)
 
 
 def push_to_source(
@@ -447,14 +422,30 @@ def push_to_source(
     """Row-operation loop moving a half-cut link set into the source links.
 
     ``links`` must be k/2 links, none of them the source-sink link, jointly
-    contained in some prefix cut.  Each step swaps the link set for its
-    complement within two prefix cuts of ``inst.cut_links``, strictly
-    decreasing the containing prefix index; the loop ends when all links
-    are incident to node 1, on a set that must touch the paths ``links``
-    touches.  The returned link set is that of the last step, or ``links``
-    when no step is needed.
+    contained in some prefix cut; only this entry point checks that, and
+    that the final set touches the paths ``links`` touches.  Each step swaps
+    the link set for its complement within two prefix cuts of
+    ``inst.cut_links``, strictly decreasing the containing prefix index; the
+    loop ends when all links are incident to node 1.  The returned link set
+    is that of the last step, or ``links`` when no step is needed.
     """
-    return _move_loop(inst, _link_rows(inst, None), links)
+    current = frozenset(links)
+    if len(current) != inst.k // 2:
+        raise ValueError(f"need exactly {inst.k // 2} links, got {len(current)}")
+    if inst.k in current:
+        raise ValueError("the source-sink link cannot be moved")
+    paths = frozenset(inst.link(l).path for l in current)
+    if max(inst.link(l).lo for l in current) >= min(inst.link(l).hi for l in current):
+        raise ValueError("link set is not contained in any prefix cut")
+    bits, moves = _move_loop(inst, _link_rows(inst, None), sum(1 << l for l in current))
+    final = frozenset(bit_ids(bits))
+    touched = frozenset(inst.link(l).path for l in final)
+    if touched != paths:
+        raise CertificationError(
+            f"the moves changed the touched paths from {sorted(paths)} to "
+            f"{sorted(touched)} ({sorted(current)} -> {sorted(final)})"
+        )
+    return final, moves
 
 
 def full_reduction(inst: Instance, matrix: IntMatrix | None = None) -> list[ReductionTrace]:
@@ -464,9 +455,9 @@ def full_reduction(inst: Instance, matrix: IntMatrix | None = None) -> list[Redu
     The rows are the 0/1 bitsets of ``inst.cut_links`` or, when ``matrix``
     is given, read once from it (an entry outside {0, 1} aborts); no m x m
     matrix is built.  The split (``_split``) and the moves (``_move_loop``,
-    the loop of ``push_to_source``) are word operations on one interval
-    row, each checked by the identity that makes it a row operation, so a
-    single flipped entry in any row they read aborts the replay.  Then each
+    the loop of ``push_to_source``) are word operations on one bitset, each
+    checked by the identity that makes it a row operation, so a single
+    flipped entry in any row they read aborts the replay.  Then each
     interval row j must be column j of the path/interval circulant over the
     source links 1..k-1 (the top rows are ``[C^T, 0]``), and each prefix
     row must have entry 1 on the diagonal and none right of it (the prefix
@@ -476,26 +467,28 @@ def full_reduction(inst: Instance, matrix: IntMatrix | None = None) -> list[Redu
     rows = _link_rows(inst, matrix)
     k = inst.k
     circulant = build_circulant(k)
+    # column j of the circulant: the paths i with a 1 in row i
+    columns = [frozenset(i for i, x in enumerate(c, 1) if x) for c in zip(*circulant.to_rows())]
     traces: list[ReductionTrace] = []
-    for j in range(1, k):
+    for j, column in enumerate(columns, start=1):
         low, high = bracketing_prefixes(inst, j)
         # _split checked that the split is twice the indicator of
         # ``halved``; halving it leaves that indicator.
-        halved = frozenset(bit_ids(_split(inst, j, rows)))
+        halved = _split(inst, j, rows, low, high)
         try:
             final, moves = _move_loop(inst, rows, halved)
         except (ValueError, RuntimeError) as exc:
             raise CertificationError(f"interval row {j}: {exc}") from exc
-        paths = frozenset(inst.link(l).path for l in halved)
-        column = frozenset(i for i in range(1, k) if circulant.at(i - 1, j - 1) == 1)
+        halved_links = frozenset(bit_ids(halved))
+        paths = frozenset(inst.links[l - 1].path for l in halved_links)
         if paths != column:
             raise CertificationError(
                 f"interval row {j}: touched paths {sorted(paths)} differ from "
                 f"circulant column {sorted(column)}"
             )
-        if final != column:  # links 1..k-1 are indexed by their path
+        if final != sum(1 << i for i in column):  # links 1..k-1 are indexed by their path
             raise CertificationError(
-                f"interval row {j}: reduced row {sorted(final)} is not the "
+                f"interval row {j}: reduced row {bit_ids(final)} is not the "
                 f"indicator of the source links of paths {sorted(column)}"
             )
         traces.append(
@@ -503,9 +496,9 @@ def full_reduction(inst: Instance, matrix: IntMatrix | None = None) -> list[Redu
                 qrow=j,
                 add_nested=low,
                 sub_nested=high,
-                halved=halved,
+                halved=halved_links,
                 moves=moves,
-                final=final,
+                final=column,  # the final set, checked equal just above
                 paths=paths,
             )
         )

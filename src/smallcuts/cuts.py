@@ -111,6 +111,12 @@ def canonical_cut(g: CapGraph, side: Iterable[int]) -> Cut:
     return Cut(side=s, capacity=cut_capacity(g, s))
 
 
+def _check_capacities(g: CapGraph) -> None:
+    for i, (x, y, c) in enumerate(g.edges):
+        if c < 0:
+            raise ValueError(f"edges[{i}] = {[x, y, c]} has a negative capacity")
+
+
 def _check_connected(g: CapGraph) -> None:
     adj: dict[int, list[int]] = {v: [] for v in g.node_range()}
     for lo, hi, _ in g.edges:
@@ -207,9 +213,7 @@ def enumerate_flow(g: CapGraph) -> FrontierFamily:
     have width 2.  The pruning needs capacities >= 0: a negative one is a
     ValueError naming the edge, raised before any state is built.
     """
-    for i, (x, y, c) in enumerate(g.edges):
-        if c < 0:
-            raise ValueError(f"edges[{i}] = {[x, y, c]} has a negative capacity")
+    _check_capacities(g)
     _check_connected(g)
     lam, n = g.lam, g.n
     # lower[v]: node u < v -> total capacity of the edges between u and v.
@@ -364,21 +368,23 @@ def karger_probe(g: CapGraph, trials: int, seed: int) -> CutFamily:
     """Distinct small cuts seen across seeded random contractions.
 
     Each trial orders the edges by independent exponential arrival times with
-    rate equal to capacity (so the next contracted edge is capacity-weighted)
-    and contracts until two super-nodes remain.  The same seed always yields
-    the same cut set.  Any returned cut is real, so the result must be a
-    subset of the true family; a cut outside it would disprove the claimed
-    enumeration.
+    rate equal to capacity (so the next contracted edge is capacity-weighted;
+    a zero-capacity edge comes last) and contracts until two super-nodes
+    remain.  The same seed always yields the same cut set.  Any returned cut
+    is real, so the result must be a subset of the true family; a cut outside
+    it would disprove the claimed enumeration.  A negative capacity is refused.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
+    _check_capacities(g)
     n = g.n
     edges = [(lo, hi, c) for lo, hi, c in g.edges]
-    expovariate = rng.expovariate
+    expovariate = random.Random(seed).expovariate
+    weighted = [i for i, e in enumerate(edges) if e[2]]
+    unweighted = [i for i, e in enumerate(edges) if not e[2]]
     by_side: dict[frozenset[int], int] = {}
     for _ in range(trials):
-        order = sorted(range(len(edges)), key=lambda i: expovariate(edges[i][2]))
+        order = sorted(weighted, key=lambda i: expovariate(edges[i][2])) + unweighted
         parent = list(range(n + 1))
 
         def find(x: int) -> int:

@@ -179,6 +179,40 @@ class TestVerifyFamily:
         assert cert.family_exact == (not missing and not surplus)
 
 
+class TestListedRows:
+    @pytest.mark.parametrize("k", (4, 6, 8))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_shape_rule_is_a_side_lookup(self, k, data):
+        # the row _listed_rows reads from a side's shape is the row of the
+        # listed cut with that side, and None for every other side
+        inst = build_instance(k)
+        n = inst.n
+        row_of = {side: r for r, (_, side) in enumerate(listed_small_cuts(inst))}
+        listed = st.sampled_from(list(row_of))
+
+        def shifted(side, d_lo, d_hi):
+            return frozenset(range(max(min(side) + d_lo, 1), min(max(side) + d_hi, n) + 1))
+
+        step = st.sampled_from((-1, 0, 1))
+        sides = data.draw(
+            st.lists(
+                st.one_of(
+                    listed,
+                    st.builds(shifted, listed, step, step),
+                    listed.filter(lambda s: len(s) > 2).flatmap(
+                        lambda s: st.sampled_from(sorted(s)[1:-1]).map(lambda v: s - {v})
+                    ),
+                    st.integers(1, n).map(lambda hi: frozenset(range(1, hi + 1))),
+                    st.frozensets(st.integers(1, n)),
+                    st.just(frozenset()),
+                )
+            )
+        )
+        family = CutFamily(tuple(Cut(side=s, capacity=0) for s in sides), inst.graph.lam)
+        assert certify._listed_rows(inst, family) == [row_of.get(s) for s in sides]
+
+
 @st.composite
 def mutated_graphs(draw, g):
     """``g`` after one to three mutations: a capacity change, a moved edge
@@ -664,9 +698,9 @@ class TestFullReduction:
         # the circulant column
         real = certify._move_loop
 
-        def early(inst, rows, links):
-            final, moves = real(inst, rows, links)
-            return (moves[0].links, moves[:1]) if moves else (final, moves)
+        def early(inst, rows, cur):
+            final, moves = real(inst, rows, cur)
+            return (moves[0].bits, moves[:1]) if moves else (final, moves)
 
         monkeypatch.setattr(certify, "_move_loop", early)
         with pytest.raises(CertificationError, match="interval row 3: reduced row"):
@@ -711,13 +745,17 @@ class TestFullReduction:
         assert (cert.rank_a, cert.det_a) == (None, None)
         assert cert.failures == ("rank:unproved",)
 
-    @pytest.mark.parametrize("edit", ({"lo": 4, "hi": 6}, {"path": 0}, {"path": 5}))
+    @pytest.mark.parametrize(
+        "edit", ((5, {"lo": 4, "hi": 6}), (5, {"path": 0}), (5, {"path": 5}), (1, {"path": 3}))
+    )
     def test_link_indexing_checked(self, inst4, edit):
-        # the replay reads a set's largest lo from its top bit and weighs a
-        # link by its path, so a link whose lo does not follow its id, or
-        # whose path is outside 1..k, is refused before any split
+        # the replay reads a set's largest lo from its top bit, weighs a
+        # link by its path and reads source link f as path f, so a link
+        # whose lo does not follow its id, whose path is outside 1..k, or a
+        # source link on another path, is refused before any split
+        position, fields = edit
         links = list(inst4.links)
-        links[5] = links[5]._replace(**edit)
+        links[position] = links[position]._replace(**fields)
         with pytest.raises(CertificationError, match="not indexed as the replay reads it"):
             full_reduction(dataclasses.replace(inst4, links=tuple(links)))
 
@@ -762,10 +800,10 @@ class TestFullReduction:
         assert (len(tampered), accepted) == {4: (112, 12), 6: (576, 89), 8: (1856, 320)}[k]
 
     def test_moves_decode_nothing_until_read(self, monkeypatch):
-        # The touched paths are compared once per loop, after its last move,
-        # so the replay decodes at most two link sets per interval row, the
-        # halved and the final one, however many moves it makes; no move's
-        # link set is decoded until a trace is read.
+        # The replay compares bitsets with the circulant column, so it
+        # decodes one link set per interval row, the halved one, however
+        # many moves it makes; no move's link set is decoded until a trace
+        # is read.
         decoded, read = [], []
         ids, links = certify.bit_ids, certify.MoveStep.links.fget
         monkeypatch.setattr(certify, "bit_ids", lambda bits: decoded.append(1) or ids(bits))
@@ -775,7 +813,7 @@ class TestFullReduction:
         k = 24
         traces = full_reduction(build_instance(k))
         moves = [step for t in traces for step in t.moves]
-        assert len(moves) > 200 and len(decoded) <= 2 * (k - 1) and read == []
+        assert len(moves) > 200 and len(decoded) <= k - 1 and read == []
         assert traces[-1].final == moves[-1].links and read == [1]
 
 
@@ -800,7 +838,7 @@ class TestMoveRefusals:
         for l in links:
             rows[inst4.k - 2 + i] ^= 1 << l
         with pytest.raises(CertificationError, match=message):
-            certify._move_loop(inst4, rows, {6, 8})
+            certify._move_loop(inst4, rows, 1 << 6 | 1 << 8)
 
     def test_changed_paths_refused(self, inst4):
         # link 8 relabelled to path 1 with its rows unchanged: every move

@@ -324,6 +324,21 @@ class TestKargerProbe:
         with pytest.raises(ValueError):
             karger_probe(inst4.graph, trials=0, seed=1)
 
+    def test_zero_capacity_edge_contracted_last(self):
+        # a zero capacity draws no arrival time; enumerate_flow accepts it
+        edges = tuple(Edge(*e) for e in ((1, 2, 1), (2, 3, 0), (3, 4, 2), (1, 4, 1)))
+        g = CapGraph(4, edges, 5)
+        small = set(scan_small_cuts(g.n, g.edges, g.lam))
+        fam = karger_probe(g, 10, 0)
+        assert fam.sides() and fam.sides() <= small
+        assert karger_probe(g, 10, 0) == fam
+        assert enumerate_flow(g).sides() == small
+
+    def test_negative_capacity_refused(self):
+        g = CapGraph(3, (Edge(1, 2, 1), Edge(2, 3, -1)), 5)
+        with pytest.raises(ValueError, match=r"edges\[1\] = \[2, 3, -1\] has a negative capacity"):
+            karger_probe(g, 10, 0)
+
     def test_finds_full_family_eventually(self, inst4):
         fam = karger_probe(inst4.graph, trials=5000, seed=9)
         listed = {side for _, side in listed_small_cuts(inst4)}
