@@ -7,12 +7,12 @@ cut/link incidence matrix has full rank (so the point is a vertex of the LP).
 The rank is proved by an executable replay of the rank argument, the only
 proof of it: explicit row operations reduce the interval-cut rows to path
 indicator rows, which also gives the determinant from that of the
-(k-1) x (k-1) circulant.  The replay works on 0/1 rows held as Python-int
-bitsets, bit ``l`` for link ``l``, those of ``Instance.cut_links``: each row
-operation is a few word operations, computed once and accepted only under
-the exact identity that makes it that row operation; the move loop reads
-no link.  No m x m matrix is built or eliminated; a replay that fails
-leaves the rank unproved.
+(k-1) x (k-1) circulant.  The replay works on the instance's own rows and
+no others: the 0/1 bitsets of ``Instance.cut_links``, bit ``l`` for link
+``l``.  Each row operation is a few word operations, computed once and
+accepted only under the exact identity that makes it that row operation;
+the move loop reads no link.  No m x m matrix is built or eliminated; a
+replay that fails leaves the rank unproved.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .construction import (
     listed_sums,
 )
 from .cuts import Cut, CutFamily, FrontierFamily
-from .exactmath import IntMatrix, det_bareiss, rank
+from .exactmath import det_bareiss, rank
 
 
 class CertificationError(Exception):
@@ -316,39 +316,22 @@ def bracketing_prefixes(inst: Instance, j: int) -> tuple[int, int]:
     return q.first - 1, q.last
 
 
-# bytes of 0/1 entries -> the ASCII digits int(..., 2) reads
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _link_rows(inst: Instance, matrix: IntMatrix | None) -> Sequence[int]:
-    """The incidence rows as bitsets, bit ``l`` for link ``l``:
-    ``inst.cut_links``, or the rows of ``matrix``, read once after its shape
-    and entries are checked.
+def _check_link_indexing(inst: Instance) -> None:
+    """Refuse an instance whose links are not indexed as the replay reads
+    them.
 
     The replay reads the largest ``lo`` of a link set from its top bit: link
     ``f`` starts at node 1 for ``f <= k`` and at ``f - k + 1`` after that,
     as ``validate_instance`` requires, and source link ``f`` is on path ``f``.
-    That indexing, and a path in 1..k for every link, is checked once per call."""
-    k, m = inst.k, inst.m
-    if matrix is not None:
-        if matrix.rows != m or matrix.cols != m:
-            raise ValueError(f"matrix must be {m}x{m}")
-        if not set(matrix.entries) <= {0, 1}:
-            raise CertificationError("matrix has an entry outside {0, 1}")
+    That indexing, and a path in 1..k for every link, is checked once per
+    call, in O(m)."""
+    k = inst.k
     for f, l in enumerate(inst.links, start=1):
         on_path = l.path == f if f <= k else 1 <= l.path <= k
         if (l.id, l.lo) != (f, max(f - k + 1, 1)) or not on_path:
             raise CertificationError(
                 f"link {list(l)} at position {f} is not indexed as the replay reads it"
             )
-    if matrix is None:
-        return inst.cut_links
-    entries = matrix.entries
-    # column c is link c + 1: the digits run from the last column to the first
-    return [
-        int(bytes(entries[r * m : (r + 1) * m])[::-1].translate(_DIGITS), 2) << 1
-        for r in range(m)
-    ]
 
 
 def _split(inst: Instance, j: int, rows: Sequence[int], low: int, high: int) -> int:
@@ -363,11 +346,6 @@ def _split(inst: Instance, j: int, rows: Sequence[int], low: int, high: int) -> 
             f"of the interval row and prefix row {low}"
         )
     halved = q & l
-    expected = inst.cut_links[j - 1] & inst.cut_links[inst.k - 2 + low]
-    if halved != expected:
-        raise CertificationError(
-            f"interval row {j}: split leaves {bit_ids(halved)}, not {bit_ids(expected)}"
-        )
     if halved.bit_count() != inst.k // 2:
         raise CertificationError(
             f"interval row {j}: expected {inst.k // 2} links, got {halved.bit_count()}"
@@ -437,7 +415,8 @@ def push_to_source(
     paths = frozenset(inst.link(l).path for l in current)
     if max(inst.link(l).lo for l in current) >= min(inst.link(l).hi for l in current):
         raise ValueError("link set is not contained in any prefix cut")
-    bits, moves = _move_loop(inst, _link_rows(inst, None), sum(1 << l for l in current))
+    _check_link_indexing(inst)
+    bits, moves = _move_loop(inst, inst.cut_links, sum(1 << l for l in current))
     final = frozenset(bit_ids(bits))
     touched = frozenset(inst.link(l).path for l in final)
     if touched != paths:
@@ -448,24 +427,24 @@ def push_to_source(
     return final, moves
 
 
-def full_reduction(inst: Instance, matrix: IntMatrix | None = None) -> list[ReductionTrace]:
+def full_reduction(inst: Instance) -> list[ReductionTrace]:
     """Reduce every interval-cut row of the incidence matrix to a path
     indicator row, verify the resulting block shape, and return the traces.
 
-    The rows are the 0/1 bitsets of ``inst.cut_links`` or, when ``matrix``
-    is given, read once from it (an entry outside {0, 1} aborts); no m x m
-    matrix is built.  The split (``_split``) and the moves (``_move_loop``,
-    the loop of ``push_to_source``) are word operations on one bitset, each
-    checked by the identity that makes it a row operation, so a single
-    flipped entry in any row they read aborts the replay.  Then each
-    interval row j must be column j of the path/interval circulant over the
-    source links 1..k-1 (the top rows are ``[C^T, 0]``), and each prefix
-    row must have entry 1 on the diagonal and none right of it (the prefix
-    block is unit lower triangular).  The replay ends by checking that the
-    circulant is nonsingular; with the block shape that gives rank m.
+    The rows are the 0/1 bitsets of ``inst.cut_links``, read after the link
+    indexing is checked; no m x m matrix is built.  The split (``_split``)
+    and the moves (``_move_loop``, the loop of ``push_to_source``) are word
+    operations on one bitset, each checked by the identity that makes it a
+    row operation, so a single flipped entry in any row they read aborts
+    the replay.  Then each interval row j must be column j of the
+    path/interval circulant over the source links 1..k-1 (the top rows are
+    ``[C^T, 0]``), and each prefix row must have entry 1 on the diagonal and
+    none right of it (the prefix block is unit lower triangular).  The
+    replay ends by checking that the circulant is nonsingular; with the
+    block shape that gives rank m.
     """
-    rows = _link_rows(inst, matrix)
-    k = inst.k
+    _check_link_indexing(inst)
+    rows, k = inst.cut_links, inst.k
     circulant = build_circulant(k)
     # column j of the circulant: the paths i with a 1 in row i
     columns = [frozenset(i for i, x in enumerate(c, 1) if x) for c in zip(*circulant.to_rows())]

@@ -4,8 +4,9 @@ A cut is identified by its canonical side: the block of the partition that
 excludes node 1.  Enumeration returns every cut whose capacity is strictly
 below the graph threshold, by one of three strategies:
 
-* ``enumerate_bruteforce`` scans all 2^(n-1) - 1 canonical sides (vectorized,
-  guarded by the node budget ``MAX_BRUTE_NODES`` = 24);
+* ``enumerate_bruteforce`` scans all 2^(n-1) - 1 canonical sides (vectorized
+  in int64, guarded by the node budget ``MAX_BRUTE_NODES`` = 24 and a total
+  capacity below ``MAX_BRUTE_TOTAL`` = 2^63);
 * ``enumerate_flow`` (a historical name) runs an exact dynamic programme
   over the nodes in index order, whose states are the sides of the open
   nodes, the boundary so far and a flag; no flow is computed.  It returns
@@ -46,6 +47,10 @@ class BruteForceSizeError(ValueError):
 # Largest graph ``enumerate_bruteforce`` scans; its work grows as 2**n,
 # so the built instances with k <= 6 fit.
 MAX_BRUTE_NODES = 24
+
+# Capacities are summed in int64 by the exhaustive scan; with capacities
+# >= 0 no cut exceeds the total, so a total below this bound cannot wrap.
+MAX_BRUTE_TOTAL = 2**63
 
 # Largest frontier width ``enumerate_flow`` accepts; its work grows as
 # 2**width, and the built instances have width 2.
@@ -111,8 +116,15 @@ def canonical_cut(g: CapGraph, side: Iterable[int]) -> Cut:
     return Cut(side=s, capacity=cut_capacity(g, s))
 
 
-def _check_capacities(g: CapGraph) -> None:
+def _check_graph(g: CapGraph) -> None:
+    """The input check every enumerator makes first: at least one node, and
+    each edge with both endpoints in 1..n and a capacity >= 0, or a
+    ValueError naming the first edge that breaks it."""
+    if g.n < 1:
+        raise ValueError(f"a graph needs at least one node, got n = {g.n}")
     for i, (x, y, c) in enumerate(g.edges):
+        if not (1 <= x <= g.n and 1 <= y <= g.n):
+            raise ValueError(f"edges[{i}] = {[x, y, c]} has an endpoint outside 1..{g.n}")
         if c < 0:
             raise ValueError(f"edges[{i}] = {[x, y, c]} has a negative capacity")
 
@@ -169,12 +181,21 @@ def _mask_to_side(mask: int) -> frozenset[int]:
 def enumerate_bruteforce(g: CapGraph) -> CutFamily:
     """Every small cut, by scanning all canonical sides.
 
-    Refuses graphs above ``MAX_BRUTE_NODES`` nodes.
+    Refuses, after the input check all enumerators share, graphs above
+    ``MAX_BRUTE_NODES`` nodes and graphs whose total capacity reaches
+    ``MAX_BRUTE_TOTAL``, where the scan's int64 sums could wrap.
     """
+    _check_graph(g)
     if g.n > MAX_BRUTE_NODES:
         raise BruteForceSizeError(
             f"{g.n} nodes exceeds the exhaustive-scan budget of {MAX_BRUTE_NODES}; "
             "use enumerate_flow"
+        )
+    capacity = sum(c for _, _, c in g.edges)
+    if capacity >= MAX_BRUTE_TOTAL:
+        raise BruteForceSizeError(
+            f"total capacity {capacity} is 2**63 or more, past the exhaustive "
+            "scan's int64 sums; use enumerate_flow"
         )
     total = 1 << (g.n - 1)  # masks 1 .. total-1
     chunk = 1 << 20
@@ -210,10 +231,11 @@ def enumerate_flow(g: CapGraph) -> FrontierFamily:
     The work grows as ``2**width``, where the width is the largest number of
     open nodes; a graph wider than ``MAX_FRONTIER_WIDTH`` raises
     ``BruteForceSizeError`` before any state is built.  The built instances
-    have width 2.  The pruning needs capacities >= 0: a negative one is a
-    ValueError naming the edge, raised before any state is built.
+    have width 2.  The pruning needs capacities >= 0: a negative one, like
+    an endpoint outside 1..n, is a ValueError naming the edge, raised before
+    any state is built.
     """
-    _check_capacities(g)
+    _check_graph(g)
     _check_connected(g)
     lam, n = g.lam, g.n
     # lower[v]: node u < v -> total capacity of the edges between u and v.
@@ -372,11 +394,13 @@ def karger_probe(g: CapGraph, trials: int, seed: int) -> CutFamily:
     a zero-capacity edge comes last) and contracts until two super-nodes
     remain.  The same seed always yields the same cut set.  Any returned cut
     is real, so the result must be a subset of the true family; a cut outside
-    it would disprove the claimed enumeration.  A negative capacity is refused.
+    it would disprove the claimed enumeration.  A graph the shared input
+    check refuses (no node, an endpoint outside 1..n, a negative capacity)
+    is refused here too.
     """
+    _check_graph(g)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_capacities(g)
     n = g.n
     edges = [(lo, hi, c) for lo, hi, c in g.edges]
     expovariate = random.Random(seed).expovariate

@@ -61,15 +61,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def with_row(self, i: int, new_row: Sequence[int]) -> "IntMatrix":
-        if len(new_row) != self.cols:
-            raise ValueError("row length mismatch")
-        if not 0 <= i < self.rows:
-            raise IndexError(f"row {i} out of range")
-        ent = list(self.entries)
-        ent[i * self.cols : (i + 1) * self.cols] = map(operator.index, new_row)
-        return IntMatrix(self.rows, self.cols, tuple(ent))
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
             self.cols,

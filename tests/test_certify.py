@@ -28,7 +28,7 @@ from smallcuts.cuts import Cut, CutFamily, enumerate_bruteforce, enumerate_flow
 from smallcuts.exactmath import IntMatrix, det_bareiss
 
 from oracles import rational_det, rational_rank, rational_solve_unique, scan_small_cuts
-from test_acceptance import reduced_matrix
+from test_acceptance import dense, flip, reduced_matrix, with_rows
 
 
 @pytest.fixture(scope="module")
@@ -54,14 +54,6 @@ def family6(inst6):
 def _prefix_links(inst, i):
     """Ids of the links crossing prefix cut i."""
     return frozenset(construction.bit_ids(inst.cut_links[inst.k - 2 + i]))
-
-
-def _flipped(a, entries):
-    """``a`` with each listed (row, column) entry flipped between 0 and 1."""
-    rows = a.to_rows()
-    for r, c in entries:
-        rows[r][c] ^= 1
-    return IntMatrix.from_rows(rows)
 
 
 class TestCoverage:
@@ -493,11 +485,9 @@ class TestReduceQcutRow:
             assert t.halved <= _prefix_links(inst, low)
 
     def test_flipped_entry_detected(self, inst4):
-        a = build_incidence_matrix(inst4)
-        row = a.row(0)
-        row[1] ^= 1
+        flipped = with_rows(inst4, flip(inst4.cut_links, [(0, 1)]))
         with pytest.raises(CertificationError, match="interval row 1: prefix row 3"):
-            full_reduction(inst4, matrix=a.with_row(0, row))
+            full_reduction(flipped)
 
 
 class TestPushToSource:
@@ -561,7 +551,8 @@ class TestFullReduction:
                 assert step.sub_nested > step.add_nested
             # push_to_source and the replay run one move loop
             assert push_to_source(inst, t.halved) == (t.final, t.moves)
-        assert full_reduction(inst, matrix=build_incidence_matrix(inst)) == traces
+        # a copy whose cut_links cache holds the same rows replays the same
+        assert full_reduction(with_rows(inst, inst.cut_links)) == traces
 
     def test_moves_strictly_descend(self, inst6):
         traces = full_reduction(inst6)
@@ -571,25 +562,20 @@ class TestFullReduction:
             assert len(set(highs)) == len(highs)
 
     def test_flipped_interval_entry_aborts(self, inst4):
-        a = build_incidence_matrix(inst4)
-        row = a.row(1)
-        row[6] ^= 1
         with pytest.raises(CertificationError):
-            full_reduction(inst4, matrix=a.with_row(1, row))
+            full_reduction(with_rows(inst4, flip(inst4.cut_links, [(1, 6)])))
         # the same flip in the interval row and its covering prefix row
-        # keeps h == q ^ l, but not the predicted set q & l
+        # keeps h == q ^ l, but halves one link too few
         low, high = bracketing_prefixes(inst4, 1)
         x = min(inst4.qcut_links(1) & _prefix_links(inst4, low))
-        flipped = _flipped(a, [(0, x - 1), (inst4.k - 2 + high, x - 1)])
-        with pytest.raises(CertificationError, match="interval row 1: split leaves"):
-            full_reduction(inst4, matrix=flipped)
+        flipped = flip(inst4.cut_links, [(0, x - 1), (inst4.k - 2 + high, x - 1)])
+        with pytest.raises(CertificationError, match="interval row 1: expected 2 links, got 1"):
+            full_reduction(with_rows(inst4, flipped))
 
     def test_flipped_diagonal_aborts(self, inst4):
-        a = build_incidence_matrix(inst4)
-        row = a.row(5)  # prefix row N_3
-        row[5] ^= 1  # its unit diagonal inside the prefix block
+        # prefix row N_3, its unit diagonal inside the prefix block
         with pytest.raises(CertificationError):
-            full_reduction(inst4, matrix=a.with_row(5, row))
+            full_reduction(with_rows(inst4, flip(inst4.cut_links, [(5, 5)])))
 
     @pytest.mark.parametrize("k", (4, 6))
     def test_flipped_unread_prefix_row(self, k):
@@ -597,8 +583,7 @@ class TestFullReduction:
         # a flip on or above the diagonal aborts the replay, while a flip
         # below it leaves a matrix whose determinant the replay still gives.
         inst = build_instance(k)
-        a = build_incidence_matrix(inst)
-        traces = full_reduction(inst, matrix=a)
+        traces = full_reduction(inst)
         read = {i for t in traces for i in (t.add_nested, t.sub_nested)}
         read |= {i for t in traces for s in t.moves for i in (s.add_nested, s.sub_nested)}
         unread = [i for i in range(1, inst.n) if i not in read]
@@ -607,36 +592,33 @@ class TestFullReduction:
             r = k - 2 + i
             flips = [(r, "diagonal")] + [(c, "above the diagonal") for c in range(r + 1, inst.m)]
             for c, message in flips:
-                row = a.row(r)
-                row[c] ^= 1
                 with pytest.raises(CertificationError, match=message):
-                    full_reduction(inst, matrix=a.with_row(r, row))
-            row = a.row(r)
-            row[r - 1] ^= 1
-            flipped = a.with_row(r, row)
-            full_reduction(inst, matrix=flipped)
-            assert det_bareiss(flipped) == 2 ** (k - 1) * det_bareiss(build_circulant(k))
+                    full_reduction(with_rows(inst, flip(inst.cut_links, [(r, c)])))
+            flipped = flip(inst.cut_links, [(r, r - 1)])
+            full_reduction(with_rows(inst, flipped))
+            det = det_bareiss(IntMatrix.from_rows(dense(inst, flipped)))
+            assert det == 2 ** (k - 1) * det_bareiss(build_circulant(k))
 
-    @pytest.mark.parametrize("k", (4, 6))
+    @pytest.mark.parametrize("k", (4, 6, 8, 10))
     def test_single_flip_is_sound(self, k):
         # The replay is a proof for whatever rows it is given: after any
         # single-entry flip of A it aborts, or the flipped matrix has the
         # determinant it claims.  An interval-row flip always aborts.
         inst = build_instance(k)
-        a = build_incidence_matrix(inst)
-        claimed = 2 ** (k - 1) * rational_det(build_circulant(k).to_rows())
+        det = rational_det if k < 8 else lambda rows: det_bareiss(IntMatrix.from_rows(rows))
+        claimed = 2 ** (k - 1) * det(build_circulant(k).to_rows())
         accepted = 0
         for r in range(inst.m):
             for c in range(inst.m):
-                flipped = _flipped(a, [(r, c)])
+                flipped = flip(inst.cut_links, [(r, c)])
                 try:
-                    full_reduction(inst, matrix=flipped)
+                    full_reduction(with_rows(inst, flipped))
                 except CertificationError:
                     continue
                 assert r >= k - 1, (r, c)
-                assert rational_det(flipped.to_rows()) == claimed, (r, c)
+                assert det(dense(inst, flipped)) == claimed, (r, c)
                 accepted += 1
-        assert accepted
+        assert accepted == {4: 8, 6: 53, 8: 184, 10: 470}[k]
 
     @pytest.mark.parametrize("k", (4, 6))
     @settings(max_examples=150, deadline=None)
@@ -646,7 +628,6 @@ class TestFullReduction:
         # cancel inside a split or a move, so such pairs are drawn too
         inst = build_instance(k)
         m = inst.m
-        a = build_incidence_matrix(inst)
         entry = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
         if data.draw(st.booleans(), label="cancelling pair"):
             r1, r2 = data.draw(
@@ -657,41 +638,13 @@ class TestFullReduction:
             flips = list(dict.fromkeys([(r1, c), (r2, c)] + extra))
         else:
             flips = data.draw(st.lists(entry, min_size=2, max_size=4, unique=True))
-        flipped = _flipped(a, flips)
+        flipped = flip(inst.cut_links, flips)
         try:
-            full_reduction(inst, matrix=flipped)
+            full_reduction(with_rows(inst, flipped))
         except CertificationError:
             return
         claimed = 2 ** (k - 1) * rational_det(build_circulant(k).to_rows())
-        assert rational_det(flipped.to_rows()) == claimed, flips
-
-    @pytest.mark.parametrize("k", (4, 6))
-    def test_prefix_diagonal_two_aborts(self, k):
-        # the replay's set identities hold on 0/1 rows only, so any other
-        # entry is refused, where or not a split or move reads it: a
-        # diagonal entry of 2 in any prefix row would double the
-        # determinant, and a 2 below the diagonal of an unread prefix row
-        # is one the block shape alone would accept
-        inst = build_instance(k)
-        a = build_incidence_matrix(inst)
-        traces = full_reduction(inst, matrix=a)
-        moved = next(s.sub_nested for t in traces for s in t.moves)
-        read = {i for t in traces for i in (t.add_nested, t.sub_nested)}
-        read |= {i for t in traces for s in t.moves for i in (s.add_nested, s.sub_nested)}
-        unread = k - 2 + min(i for i in range(1, inst.n) if i not in read)
-        entries = [(r, r, 2) for r in range(k - 1, inst.m)]
-        entries += [
-            (0, min(inst.qcut_links(1)) - 1, 2),  # an interval row
-            (k - 2 + moved, moved - 1, 2),  # a prefix row a move reads
-            (unread, unread - 1, 2),
-            (unread, unread - 1, -1),
-            (0, 0, -1),
-        ]
-        for r, c, x in entries:
-            row = a.row(r)
-            row[c] = x
-            with pytest.raises(CertificationError):
-                full_reduction(inst, matrix=a.with_row(r, row))
+        assert rational_det(dense(inst, flipped)) == claimed, flips
 
     def test_move_loop_stopping_early_aborts(self, inst4, monkeypatch):
         # moves that stop short of the source links leave a row that is not
@@ -711,10 +664,6 @@ class TestFullReduction:
         monkeypatch.setattr(certify, "rank", lambda mat: mat.rows - 1)
         with pytest.raises(CertificationError):
             full_reduction(inst4)
-
-    def test_wrong_shape_rejected(self, inst4):
-        with pytest.raises(ValueError):
-            full_reduction(inst4, matrix=build_circulant(4))
 
     @pytest.mark.parametrize("error", (ValueError, RuntimeError))
     def test_push_to_source_error_aborts(self, inst4, family4, monkeypatch, error):
@@ -775,13 +724,12 @@ class TestFullReduction:
         # the row's count on each path: the replay aborts, or the tampered
         # matrix has the determinant the replay claims.
         inst = build_instance(k)
-        a = build_incidence_matrix(inst)
         # the rational oracle takes about 30 s on the 320 matrices accepted at k = 8
         det = rational_det if k < 8 else lambda rows: det_bareiss(IntMatrix.from_rows(rows))
         claimed = 2 ** (k - 1) * det(build_circulant(k).to_rows())
         tampered = [[(r, c)] for r in range(k - 1, inst.m) for c in range(inst.m)]
         path = [l.path for l in inst.links]
-        for r, row in enumerate(a.to_rows()[k - 1 :], start=k - 1):
+        for r, row in enumerate(dense(inst, inst.cut_links[k - 1 :]), start=k - 1):
             tampered += [
                 [(r, x), (r, y)]
                 for x in range(inst.m)
@@ -790,12 +738,12 @@ class TestFullReduction:
             ]
         accepted = 0
         for entries in tampered:
-            matrix = _flipped(a, entries)
+            rows = flip(inst.cut_links, entries)
             try:
-                full_reduction(inst, matrix=matrix)
+                full_reduction(with_rows(inst, rows))
             except CertificationError:
                 continue
-            assert det(matrix.to_rows()) == claimed, entries
+            assert det(dense(inst, rows)) == claimed, entries
             accepted += 1
         assert (len(tampered), accepted) == {4: (112, 12), 6: (576, 89), 8: (1856, 320)}[k]
 

@@ -125,6 +125,35 @@ class TestCutCapacity:
         assert c.capacity == cut_capacity(inst4.graph, {1, 2})
 
 
+@pytest.mark.parametrize(
+    "enumerate_cuts",
+    (enumerate_bruteforce, enumerate_flow, lambda g: karger_probe(g, 10, 0)),
+    ids=("brute", "flow", "probe"),
+)
+@pytest.mark.parametrize(
+    "g, message",
+    (
+        (CapGraph(0, (), 5), "at least one node, got n = 0"),
+        (
+            CapGraph(3, (Edge(1, 2, 1), Edge(1, 5, 1)), 5),
+            r"edges\[1\] = \[1, 5, 1\] has an endpoint outside 1\.\.3",
+        ),
+        (CapGraph(3, (Edge(0, 2, 1),), 5), r"edges\[0\] = \[0, 2, 1\] has an endpoint outside"),
+        (
+            CapGraph(3, (Edge(1, 2, 1), Edge(2, 3, -1)), 5),
+            r"edges\[1\] = \[2, 3, -1\] has a negative capacity",
+        ),
+    ),
+    ids=("no-node", "endpoint-above-n", "endpoint-zero", "negative-capacity"),
+)
+def test_enumerators_share_one_input_check(enumerate_cuts, g, message):
+    # the scan once dropped an edge to node 5 of 3, and failed with a
+    # negative shift count on no node, where the DP and the probe raised
+    # KeyError or IndexError; all three now refuse the graph by name
+    with pytest.raises(ValueError, match=message):
+        enumerate_cuts(g)
+
+
 class TestBruteForce:
     def test_k4_family_is_the_listed_one(self, inst4):
         fam = enumerate_bruteforce(inst4.graph)
@@ -154,6 +183,21 @@ class TestBruteForce:
         g = build_instance(8).graph  # 30 nodes
         with pytest.raises(BruteForceSizeError, match="enumerate_flow"):
             enumerate_bruteforce(g)
+
+    def test_total_capacity_past_int64_refused(self):
+        # the int64 scan wrapped three 2**62 capacities to -2**63 and
+        # reported the cuts {2}, {3} and {2, 3}, which no other method finds
+        g = CapGraph(3, tuple(Edge(a, b, 2**62) for a, b in ((1, 2), (2, 3), (1, 3))), 5)
+        assert scan_small_cuts(g.n, g.edges, g.lam) == {} and len(enumerate_flow(g)) == 0
+        with pytest.raises(BruteForceSizeError, match=r"2\*\*63 or more.*use enumerate_flow"):
+            enumerate_bruteforce(g)
+
+    def test_large_capacities_below_the_bound_agree(self):
+        g = CapGraph(3, tuple(Edge(a, b, 2**61) for a, b in ((1, 2), (2, 3), (1, 3))), 2**62 + 1)
+        expected = scan_small_cuts(g.n, g.edges, g.lam)
+        assert set(expected.values()) == {2**62} and len(expected) == 3
+        for fam in (enumerate_bruteforce(g), enumerate_flow(g), karger_probe(g, 20, 0)):
+            assert {c.side: c.capacity for c in fam} == expected
 
     def test_triangle_below_threshold_is_empty(self):
         assert len(enumerate_bruteforce(triangle(lam=1))) == 0
