@@ -16,12 +16,15 @@ below the graph threshold, by one of three strategies:
   automaton accepts, cost no side.  The cuts themselves are walked back
   from the accepting states only when they are read (iteration, ``cuts``,
   ``sides``, membership): by ``--strategy both``, and when the certifier's
-  counts disagree.  Its work grows as 2^width in the frontier width, which
-  is capped at ``MAX_FRONTIER_WIDTH`` = 16; the built instances have width
-  2.  On a 2-core x86 host with CPython 3.11 the forward pass plus the
-  certifier's count take 0.011 s at k = 24 (n = 278), 0.047 s at k = 48
-  (n = 1130) and 0.29 s at k = 94 (n = 4373); the walk adds 0.02 s, 0.34 s
-  and 4.1 s;
+  counts disagree.  Nodes with the same transition share one table of it,
+  built once: the built instances have 11 distinct tables at every k, and
+  the walk and the count read them.  Its work grows as 2^width in the
+  frontier width, which is capped at ``MAX_FRONTIER_WIDTH`` = 16; the built
+  instances have width 2.  On a shared 2-core x86 host with CPython 3.11
+  (medians of 9-21 calls, in five rounds) the forward pass takes 1.7-2.6 ms
+  at k = 24 (n = 278), 6-12 ms at k = 48 (n = 1130) and 21-46 ms at
+  k = 94 (n = 4373); the certifier's count 1.0-1.7 ms, 4-6 ms and
+  14-30 ms; the walk about 0.01 s, 0.2-0.3 s and 3.4-4.6 s;
 * ``karger_probe`` repeats seeded capacity-weighted edge contraction, which
   can only ever find genuine cuts and serves as a randomized stress test.
 """
@@ -211,6 +214,47 @@ def enumerate_bruteforce(g: CapGraph) -> CutFamily:
 # frontier dynamic programme
 
 
+# A DP state: the sides of the open nodes, the boundary so far and whether
+# any node is on side 1.
+State = tuple[tuple[int, ...], int, int]
+
+# A node's transition table: for each state after the node, in order, its
+# (j, s) predecessors, state j after the node before with the node on side s.
+Table = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _transition(
+    states: tuple[State, ...],
+    weights: tuple[tuple[int, int], ...],
+    keep: tuple[int, ...],
+    lam: int,
+) -> tuple[tuple[State, ...], Table]:
+    """The states after a node, in order of first reach, and their table.
+
+    ``states`` are the (sides, b, flag) keys before the node, ``weights``
+    the (position, capacity) of its edges down to open nodes, and ``keep``
+    the positions, in the sides extended by the node's own, of the open
+    nodes after it.  A state whose boundary reaches ``lam`` is dropped."""
+    total = sum([c for _, c in weights])
+    index: dict[State, int] = {}
+    back: list[list[tuple[int, int]]] = []
+    for j, (sides, b, flag) in enumerate(states):
+        # the capacity from the node to open nodes on side 1, then on side 0
+        ones = sum([c for i, c in weights if sides[i]])
+        for s, cross in ((0, ones), (1, total - ones)):
+            nb = b + cross
+            if nb >= lam:
+                continue
+            full = (*sides, s)
+            key = (tuple([full[i] for i in keep]), nb, flag | s)
+            at = index.setdefault(key, len(back))
+            if at == len(back):
+                back.append([(j, s)])
+            else:
+                back[at].append((j, s))
+    return tuple(index), tuple(map(tuple, back))
+
+
 def enumerate_flow(g: CapGraph) -> FrontierFamily:
     """Every small cut, by dynamic programming over a node-order frontier.
 
@@ -223,10 +267,18 @@ def enumerate_flow(g: CapGraph) -> FrontierFamily:
     path from the start to a final state with the flag set is one cut of
     capacity ``b``, and distinct paths are distinct cuts.
 
-    This is the forward pass only: it keeps each state's predecessor list
-    and counts the paths into each state, so the returned family knows its
-    size and can count its cuts within a layered automaton without building
-    a side.  Its cuts are walked back from the final states on first use.
+    This is the forward pass only: it keeps each node's transition table
+    (the predecessors of each state after it) and counts the paths into
+    each state, so the returned family knows its size and can count its
+    cuts within a layered automaton without building a side.  Its cuts are
+    walked back from the final states on first use.  A transition reads
+    only the states before the node, the weights of the node's edges down
+    to open nodes and the open positions it keeps, so it is built once per
+    distinct key of those three and its table is shared by every node with
+    that key; a node with a known key costs one dict lookup and one sum of
+    path counts per state.  This holds for any graph: one whose nodes all
+    differ only builds every table.  The built instances have 11 distinct
+    tables at every k.
 
     The work grows as ``2**width``, where the width is the largest number of
     open nodes; a graph wider than ``MAX_FRONTIER_WIDTH`` raises
@@ -257,49 +309,48 @@ def enumerate_flow(g: CapGraph) -> FrontierFamily:
             "open nodes"
         )
 
-    # states: the (sides, b, flag) keys after the latest node, in the order
-    # of preds[v], whose entries are (v - 1, state index after v - 1, side of
-    # v); paths[i]: the number of paths from the start into state i.  Node 1
-    # is always on side 0.
-    states = [((0,) * len(frontiers[1]), 0, 0)]
-    paths = [1]
-    preds: list[list[list[tuple[int, int, int]]]] = [[], [[]]]
+    # State lists are interned: lists[i] is state list i and known[lists[i]]
+    # is i.  built maps a (state list id, weights, keep) key to the id of
+    # the next state list, the shared table and, for the path counts, the
+    # table without its sides.  sid is the id of the states after the latest
+    # node, and paths[i] the number of paths from the start into its state
+    # i.  Node 1 is always on side 0; tables[v] is node v's table, with
+    # placeholders for v = 0 and 1.
+    lists = [(((0,) * len(frontiers[1]), 0, 0),)]
+    known = {lists[0]: 0}
+    built: dict[tuple, tuple[int, Table, tuple[tuple[int, ...], ...]]] = {}
+    sid, paths = 0, [1]
+    tables: list[Table] = [(), ((),)]
     for v in range(2, n + 1):
         before = frontiers[v - 1]
-        pos = {u: i for i, u in enumerate(before)}
-        weights = [(pos[u], c) for u, c in lower[v].items()]
-        keep = [len(before) if u == v else pos[u] for u in frontiers[v]]
-        index: dict[tuple[tuple[int, ...], int, int], int] = {}
-        back: list[list[tuple[int, int, int]]] = []
-        into: list[int] = []
-        total = sum(lower[v].values())
-        for j, (sides, b, flag) in enumerate(states):
-            # the capacity from v to open nodes on side 1, then on side 0
-            ones = sum(c for i, c in weights if sides[i])
-            for s, cross in ((0, ones), (1, total - ones)):
-                nb = b + cross
-                if nb >= lam:
-                    continue
-                full = (*sides, s)
-                key = (tuple([full[i] for i in keep]), nb, flag | s)
-                at = index.setdefault(key, len(back))
-                if at == len(back):
-                    back.append([(v - 1, j, s)])
-                    into.append(paths[j])
-                else:
-                    back[at].append((v - 1, j, s))
-                    into[at] += paths[j]
-        states, paths = list(index), into
-        preds.append(back)
-    size = sum(p for (_, _, flag), p in zip(states, paths) if flag)
-    return FrontierFamily(lam, preds, tuple(states), size)
+        pos = before.index  # every node below v joined to v is open before v
+        weights = tuple([(pos(u), c) for u, c in lower[v].items()])
+        keep = tuple([len(before) if u == v else pos(u) for u in frontiers[v]])
+        key = (sid, weights, keep)
+        entry = built.get(key)
+        if entry is None:
+            after, table = _transition(lists[sid], weights, keep, lam)
+            sources = tuple([tuple([j for j, _ in back]) for back in table])
+            entry = built[key] = (known.setdefault(after, len(lists)), table, sources)
+            if entry[0] == len(lists):
+                lists.append(after)
+        sid, table, sources = entry
+        count = paths.__getitem__
+        paths = [sum(map(count, js)) for js in sources]
+        tables.append(table)
+    final = lists[sid]
+    size = sum(p for (_, _, flag), p in zip(final, paths) if flag)
+    return FrontierFamily(lam, tables, final, size)
 
 
 class FrontierFamily(CutFamily):
     """The small cuts of a graph held as the frontier DP's DAG.
 
-    ``len`` is the forward pass's count of accepting paths, and
-    ``count_accepted`` counts them within a layered automaton; neither
+    ``tables[v]``, for v >= 2, is node v's transition table: for each state
+    after v, the ``(j, s)`` pairs of its predecessors, state j after v - 1
+    with node v on side s.  Nodes with the same transition hold the same
+    table object.  ``len`` is the forward pass's count of accepting paths,
+    and ``count_accepted`` counts them within a layered automaton; neither
     builds a side.  ``cuts``, and with it iteration, ``sides`` and
     membership, walks the DAG back once on first use and keeps the result.
     """
@@ -307,29 +358,32 @@ class FrontierFamily(CutFamily):
     def __init__(
         self,
         lam: int,
-        preds: list[list[list[tuple[int, int, int]]]],
-        final: tuple[tuple[tuple[int, ...], int, int], ...],
+        tables: list[Table],
+        final: tuple[State, ...],
         size: int,
     ) -> None:
-        # preds and final are enumerate_flow's preds and last states; size
+        # tables and final are enumerate_flow's tables and last states; size
         # is the number of its accepting paths
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "_preds", preds)
+        object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "_final", final)
         object.__setattr__(self, "_size", size)
 
     def __len__(self) -> int:
         return self._size
 
+    def __repr__(self) -> str:
+        # the dataclass repr would walk every cut
+        return f"{type(self).__name__}(lam={self.lam}, size={self._size})"
+
     @cached_property
     def cuts(self) -> tuple[Cut, ...]:
         """The cuts of the accepting paths, in ``CutFamily.collect`` order.
 
-        The walk follows predecessor lists on an explicit stack over one
-        shared side array, so it meets no dead end and no recursion limit;
-        it builds one side per cut, about n^2/2 node ids on a built
-        instance."""
-        preds, n = self._preds, len(self._preds) - 1
+        The walk follows the tables on an explicit stack over one shared
+        side array, so it meets no dead end and no recursion limit; it
+        builds one side per cut, about n^2/2 node ids on a built instance."""
+        tables, n = self.tables, len(self.tables) - 1
         # side[u - 2]: the side of node u, for the nodes above the popped
         # state; the last slot stands for the node n + 1 that does not exist.
         side = [0] * n
@@ -345,7 +399,8 @@ class FrontierFamily(CutFamily):
                 if v == 1:
                     found.append(Cut(side=frozenset(compress(others, side)), capacity=b))
                 else:
-                    stack.extend(preds[v][i])
+                    for j, t in tables[v][i]:
+                        stack.append((v - 1, j, t))
         return CutFamily.collect(found, self.lam).cuts
 
     def count_accepted(
@@ -356,18 +411,18 @@ class FrontierFamily(CutFamily):
         The automaton reads the side of each node 2..n in index order:
         ``start`` is its state after node 1 (always on side 0), and
         ``step(v, state, side)`` its state after node v, or None when it
-        rejects.  One pass over the predecessor lists carries, for each DP
-        state, the number of paths into it that end in each automaton state;
-        no capacity is summed and no side is built.  Returns, over the
+        rejects.  One pass over the tables carries, for each DP state, the
+        number of paths into it that end in each automaton state; no
+        capacity is summed and no side is built.  Returns, over the
         accepting final states, the number of cuts that end in each
         automaton state.
         """
         layer: list[dict[Hashable, int]] = [{start: 1}]
-        for v in range(2, len(self._preds)):
+        for v in range(2, len(self.tables)):
             after: list[dict[Hashable, int]] = []
-            for back in self._preds[v]:
+            for back in self.tables[v]:
                 counts: dict[Hashable, int] = {}
-                for _, j, s in back:
+                for j, s in back:
                     for a, c in layer[j].items():
                         b = step(v, a, s)
                         if b is not None:

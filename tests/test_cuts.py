@@ -9,6 +9,7 @@ from smallcuts.construction import CapGraph, Edge, build_instance, listed_small_
 from smallcuts.cuts import (
     BruteForceSizeError,
     CutFamily,
+    FrontierFamily,
     canonical_cut,
     cut_capacity,
     enumerate_bruteforce,
@@ -83,6 +84,33 @@ def multigraphs(draw, max_n=12):
     return CapGraph(
         n=n, edges=tuple(Edge(*e) for e in edges), lam=draw(st.integers(1, 8))
     )
+
+
+@st.composite
+def chained_gadgets(draw):
+    """Connected graphs on at most 14 nodes made of copies of one random
+    gadget laid along the node order: every block of ``width`` nodes
+    carries the same backbone and chords, some reaching into the next
+    block (a ladder is width 2 with rungs and rails), so that most nodes
+    repeat a transition the DP has already built.  Returns the graph and
+    two nodes for the pair automaton."""
+    width = draw(st.integers(1, 3))
+    n = width * draw(st.integers(14 // width - 2, 14 // width))
+    cap = st.integers(1, 3)
+    # offsets (a, b) from the start of a block, a < b <= a + width
+    gadget = [(a, a + 1, draw(cap)) for a in range(width)]
+    for a in draw(st.lists(st.integers(0, width - 1), max_size=3)):
+        gadget.append((a, draw(st.integers(a + 1, a + width)), draw(cap)))
+    edges = tuple(
+        Edge(start + a, start + b, c)
+        for start in range(1, n + 1, width)
+        for a, b, c in gadget
+        if start + b <= n
+    )
+    # lam just above the cheapest prefix cut {i + 1, ..., n}, so no family is empty
+    cheapest = min(sum(c for a, b, c in edges if a <= i < b) for i in range(1, n))
+    g = CapGraph(n=n, edges=edges, lam=cheapest + draw(st.integers(1, 3)))
+    return g, draw(st.integers(2, n)), draw(st.integers(2, n))
 
 
 class TestCutCapacity:
@@ -341,6 +369,44 @@ class TestFlowEnumeration:
         inst = build_instance(48)
         listed = {side for _, side in listed_small_cuts(inst)}
         assert enumerate_flow(inst.graph).sides() == listed
+
+    @pytest.mark.parametrize("k", (6, 24, 48, 94))
+    def test_built_instances_share_eleven_tables(self, k):
+        # the n - 1 node transitions take 11 distinct values at every k:
+        # a key finer than the transition (one holding v, say) breaks this
+        inst = build_instance(k)
+        tables = enumerate_flow(inst.graph).tables[2:]
+        assert len(tables) == inst.n - 1
+        assert len({id(t) for t in tables}) == 11
+
+    @given(chained_gadgets())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_tables_match_subset_scan_oracle(self, drawn):
+        g, lo, hi = drawn
+        oracle = scan_small_cuts(g.n, g.edges, g.lam)
+        fam = enumerate_flow(g)
+        assert len(fam) == len(oracle)
+
+        # the pair automaton of test_count_accepted_counts_each_cut_once
+        def step(v, state, s):
+            return (state[0] or (s == 1 and v == lo), state[1] or (s == 1 and v == hi))
+
+        want = {}
+        for side in oracle:
+            key = (lo in side, hi in side)
+            want[key] = want.get(key, 0) + 1
+        ends = fam.count_accepted((False, False), step)
+        assert {key: c for key, c in ends.items() if c} == want
+        assert {c.side: c.capacity for c in fam} == oracle
+
+    def test_repr_walks_no_cut(self, monkeypatch):
+        # the dataclass repr read ``cuts``: 9 MB and 0.86 s at k = 60
+        def refused(*args, **kwargs):
+            raise AssertionError("the cuts were walked")
+
+        monkeypatch.setattr(FrontierFamily, "cuts", property(refused))
+        fam = enumerate_flow(build_instance(94).graph)
+        assert repr(fam) == "FrontierFamily(lam=5, size=4465)"
 
 
 class TestKargerProbe:

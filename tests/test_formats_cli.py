@@ -576,8 +576,9 @@ class TestCli:
         (["verify", "-k", "8", "--strategy", "flow", "--trace"], "verify_k8_flow_trace.json"),
         (["reduce", "-k", "8"], "reduce_k8.txt"),
         (["verify", "-k", "6", "--strategy", "both"], "verify_k6_both.json"),
+        (["verify", "-k", "24", "--strategy", "flow"], "verify_k24_flow.json"),
     ),
-    ids=("verify", "reduce", "verify-both"),
+    ids=("verify", "reduce", "verify-both", "verify-k24"),
 )
 def test_documents_match_golden(argv, name, capsys):
     # The documents are byte for byte those of the files under golden/, apart
