@@ -13,6 +13,7 @@ usage errors, among them an output path that cannot be written, a
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -54,6 +55,9 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+# Built once per process: each parser holds its actions and formatters in
+# reference cycles, which only the cyclic collector would free.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smallcuts",

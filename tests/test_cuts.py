@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from smallcuts.construction import CapGraph, Edge, build_instance, listed_small_cuts
 from smallcuts.cuts import (
+    MAX_BRUTE_NODES,
+    SCAN_CHUNK_BITS,
     BruteForceSizeError,
     CutFamily,
     FrontierFamily,
@@ -226,6 +229,48 @@ class TestBruteForce:
         assert set(expected.values()) == {2**62} and len(expected) == 3
         for fam in (enumerate_bruteforce(g), enumerate_flow(g), karger_probe(g, 20, 0)):
             assert {c.side: c.capacity for c in fam} == expected
+
+    def test_sums_stay_below_the_total(self):
+        # total 2**63 - 1 is accepted, but 2 * c({2}, 3) = 2**63 alone would wrap
+        edges = (Edge(1, 2, 2**62 - 1), Edge(2, 3, 2**62))
+        g = CapGraph(3, edges, 2**62 + 1)
+        expected = scan_small_cuts(g.n, g.edges, g.lam)
+        assert expected == {frozenset({3}): 2**62, frozenset({2, 3}): 2**62 - 1}
+        assert {c.side: c.capacity for c in enumerate_bruteforce(g)} == expected
+
+    @pytest.mark.parametrize(
+        "extra",
+        (
+            (),
+            (Edge(2, 24, 1), Edge(12, 23, 2)),  # chords across the low/high split
+            (Edge(20, 21, 2),),  # a parallel edge on the split
+            (Edge(3, 22, 0), Edge(5, 5, 3)),  # a zero-capacity chord and a self-loop
+            (Edge(24, 2, 1), Edge(21, 9, 1)),  # chords listed high end first
+        ),
+        ids=("path", "chords", "parallel", "zero-and-loop", "high-first"),
+    )
+    def test_past_one_chunk_matches_flow(self, extra):
+        n = MAX_BRUTE_NODES
+        assert n - 1 > SCAN_CHUNK_BITS  # the scan runs 2**(n - 1 - 19) chunks
+        path = tuple(Edge(i, i + 1, 1 + i % 2) for i in range(1, n))
+        g = CapGraph(n, path + extra, 5)
+        brute, flow = enumerate_bruteforce(g), enumerate_flow(g)
+        assert any(max(c.side) > SCAN_CHUNK_BITS + 1 for c in brute)
+        assert len(brute) == len(flow) and tuple(brute) == tuple(flow)
+
+    def test_memory_at_the_node_budget(self):
+        # the per-edge scan that the doubling table replaced peaked at about
+        # 40 MB on this graph
+        n = MAX_BRUTE_NODES
+        g = CapGraph(n, tuple(Edge(i, i + 1, 1) for i in range(1, n)), 3)
+        tracemalloc.start()
+        try:
+            fam = enumerate_bruteforce(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fam) == (n - 1) * n // 2  # the intervals {i..j} and {i..n}
+        assert peak <= 40 * 2**20
 
     def test_triangle_below_threshold_is_empty(self):
         assert len(enumerate_bruteforce(triangle(lam=1))) == 0

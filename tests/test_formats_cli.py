@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import re
 from collections import Counter
@@ -563,6 +564,22 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_warm_call_leaves_no_parser_garbage(self, tmp_path):
+        # the parser is built once per process: one built per call would
+        # leave its actions and formatters in reference cycles
+        argv = ["verify", "-k", "6", "--strategy", "both", "--out", str(tmp_path / "c.json")]
+        assert cli.main(argv) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert cli.main(argv) == 0
+            gc.collect()
+            modules = {type(obj).__module__ for obj in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert "argparse" not in modules
+
     def test_verify_doc_written_before_exit_check(self, tmp_path):
         # even a passing run writes the document
         out = tmp_path / "c.json"
@@ -577,8 +594,9 @@ class TestCli:
         (["reduce", "-k", "8"], "reduce_k8.txt"),
         (["verify", "-k", "6", "--strategy", "both"], "verify_k6_both.json"),
         (["verify", "-k", "24", "--strategy", "flow"], "verify_k24_flow.json"),
+        (["verify", "-k", "6", "--strategy", "brute"], "verify_k6_brute.json"),
     ),
-    ids=("verify", "reduce", "verify-both", "verify-k24"),
+    ids=("verify", "reduce", "verify-both", "verify-k24", "verify-brute"),
 )
 def test_documents_match_golden(argv, name, capsys):
     # The documents are byte for byte those of the files under golden/, apart
