@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .construction import (
     Instance,
@@ -122,82 +122,47 @@ def listed_capacity_table(inst: Instance) -> dict[str, int]:
 
 
 class FamilySizeError(ValueError):
-    """An enumerated family whose counts disagree with the listed cuts is too
-    large to name its missing and surplus cuts side by side."""
-
-
-# States of the listed-side automaton; a run in progress is its first node
-# (>= 2), which may still start an interval.
-BEFORE, PREFIX, AFTER = 0, -1, -2
-
-
-def _listed_automaton(inst: Instance) -> Callable[[int, int, int], int | None]:
-    """The step function of a deterministic layered automaton that accepts
-    exactly the canonical sides the shape rule of ``_listed_rows`` gives a
-    row: a run lo..n with ``lo >= 2``, or a run lo..hi that is an interval.
-
-    Reading node v on side s: before the run, side 1 starts a run at v,
-    held as ``v`` when some interval starts there and as PREFIX otherwise;
-    a run ``lo`` becomes PREFIX once it passes the last node of every
-    interval that starts at lo, and AFTER when it stops right after one of
-    them; PREFIX must run to n and AFTER must stay at side 0.  Every state
-    accepts: a run still open after node n is a prefix cut, and no cut ends
-    in BEFORE, since a cut has a node on side 1.  Merging the runs that
-    can no longer be an interval into PREFIX keeps the product with the
-    frontier DAG to a few automaton states per DP state.
-    """
-    ends: dict[int, set[int]] = {}
-    for q in inst.qsets:
-        ends.setdefault(q.first, set()).add(q.last)
-    reach = {lo: max(lasts) for lo, lasts in ends.items()}
-
-    def step(v: int, a: int, s: int) -> int | None:
-        if a == BEFORE:
-            return (v if v in ends else PREFIX) if s else BEFORE
-        if a == PREFIX:
-            return PREFIX if s else None
-        if a == AFTER:
-            return None if s else AFTER
-        if s:
-            return a if v <= reach[a] else PREFIX
-        return AFTER if v - 1 in ends[a] else None
-
-    return step
+    """An enumerated family not proved exact by its count is too large to
+    name its missing and surplus cuts side by side."""
 
 
 def family_walk_budget(inst: Instance) -> int:
     """The most cuts a frontier family may hold and still have its missing
-    and surplus cuts named when its counts disagree: twice the n + k - 2
-    listed cuts."""
+    and surplus cuts named when its count proves no exactness: twice the
+    n + k - 2 listed cuts."""
     return 2 * (inst.k + inst.n - 2)
 
 
 def _family(
-    inst: Instance, family: CutFamily
+    inst: Instance, family: CutFamily, caps: dict[str, int]
 ) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...], list[int | None] | None]:
     """The missing and surplus sides of the family against the listed cuts,
     and the listed row of each cut of the family in order (None for a
     surplus cut), or None in place of the rows when the family is proved
     exact by counting.
 
-    A ``FrontierFamily`` is exact iff its size, the number of its cuts the
-    listed-side automaton accepts and the number n + k - 2 of listed cuts
-    are equal; no side is read.  When they differ, its cuts are walked
-    and compared by shape, like an explicit family's, but only when it
-    holds at most ``family_walk_budget`` cuts; a larger family raises
-    ``FamilySizeError``, naming both counts.
+    A ``FrontierFamily`` of the instance's own graph is exactly that graph's
+    small cuts.  When every listed capacity in ``caps`` is below ``lam``,
+    the n + k - 2 listed cuts are among them, and they are distinct, since
+    ``listed_sums`` refuses intervals that do not partition 2..n-1; so such
+    a family of n + k - 2 cuts is the listed cuts, and no side is read.
+    Otherwise its cuts are walked and compared by shape, like an explicit
+    family's, but only when it holds at most ``family_walk_budget`` cuts; a
+    larger family raises ``FamilySizeError``, naming both counts.
     """
     if isinstance(family, FrontierFamily):
         listed = inst.k + inst.n - 2
-        accepted = sum(family.count_accepted(BEFORE, _listed_automaton(inst)).values())
-        if len(family) == accepted == listed:
+        if (
+            len(family) == listed
+            and family.graph == inst.graph
+            and all(cap < inst.graph.lam for cap in caps.values())
+        ):
             return (), (), None
         budget = family_walk_budget(inst)
         if len(family) > budget:
             raise FamilySizeError(
-                f"the enumerated family has {len(family)} cuts, {accepted} of them "
-                f"listed, against {listed} listed cuts; naming its missing and "
-                f"surplus cuts is refused above {budget} cuts"
+                f"the enumerated family has {len(family)} cuts against {listed} listed "
+                f"cuts; naming its missing and surplus cuts is refused above {budget} cuts"
             )
     rows = _listed_rows(inst, family)
     # Sides are built only for the listed cuts the family misses.
@@ -244,7 +209,7 @@ def _certificate(
     for label, cap in caps.items():
         if cap >= lam:
             failures.append(f"capacity:{label}")
-    missing, surplus, rows = _family(inst, family)
+    missing, surplus, rows = _family(inst, family, caps)
     if missing:
         failures.append(f"family:missing={len(missing)}")
 
@@ -507,6 +472,11 @@ def certify_instance(inst: Instance, family: CutFamily) -> Certificate:
     is needed.  A failed replay gives ``reduction_ok`` false, no traces,
     its message in ``reduction_error``, ``rank_a`` and ``det_a`` None and
     the failure ``rank:unproved``, so ``is_basic`` is false too.
+
+    An instance whose k - 1 intervals do not partition 2..n-1 gets no
+    certificate: ``listed_sums`` raises a ValueError naming the interval
+    where the partition breaks, since its rows, capacities and totals, and
+    the count that proves a frontier family exact, all assume one.
     """
     try:
         traces = tuple(full_reduction(inst))

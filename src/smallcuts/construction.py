@@ -341,6 +341,40 @@ def bit_ids(bits: int) -> list[int]:
     return ids
 
 
+def _check_partition(inst: Instance) -> None:
+    """Refuse intervals that are not k - 1 intervals partitioning 2..n-1,
+    in O(k).  Walking up from node 2, each interval must start at the node
+    after the one before it ends, until one ends at n - 1, and the walk must
+    meet every interval.  The ValueError names the interval after which the
+    walk fails, or else the first interval, in row order, that it never
+    meets."""
+    k, n, qsets = inst.k, inst.n, inst.qsets
+    head = f"intervals do not partition 2..{n - 1}"
+    if len(qsets) != k - 1:
+        raise ValueError(f"{head}: expected {k - 1} intervals, got {len(qsets)}")
+    starting: dict[int, int] = {}
+    for j, q in enumerate(qsets, start=1):
+        starting.setdefault(q.first, j)
+    v, met, where = 2, set(), "no interval starts at node 2"
+    while v < n:
+        j = starting.get(v)
+        if j is None:
+            raise ValueError(f"{head}: {where}")
+        q = qsets[j - 1]
+        name = f"interval {j} = [{q.first}, {q.last}]"
+        if not v <= q.last < n:
+            raise ValueError(f"{head}: {name} is not a run of nodes within 2..{n - 1}")
+        met.add(j)
+        v, where = q.last + 1, f"{name} is followed by no interval at node {q.last + 1}"
+    if len(met) != k - 1:
+        j = next(j for j in range(1, k) if j not in met)
+        q = qsets[j - 1]
+        raise ValueError(
+            f"{head}: interval {j} = [{q.first}, {q.last}] meets nodes of another "
+            f"or lies outside 2..{n - 1}"
+        )
+
+
 def listed_sums(inst: Instance, pairs: Iterable[tuple[int, int, int]]) -> list[int]:
     """For each listed cut, in incidence-row order Q_1..Q_{k-1}, N_1..N_{n-1},
     the sum of ``value`` over the pairs (a, b, value) that cross it: the one
@@ -351,7 +385,10 @@ def listed_sums(inst: Instance, pairs: Iterable[tuple[int, int, int]]) -> list[i
 
     Summing ``1 << id`` over the links gives each row as a bitset, ``cap``
     over the edges each listed cut's capacity, and a point's numerators over
-    the links each row's total."""
+    the links each row's total.  The rule holds only when the k - 1
+    intervals partition 2..n-1, so other intervals are refused first
+    (``_check_partition``)."""
+    _check_partition(inst)
     k, n = inst.k, inst.n
     interval = [0] * (n + 1)  # node -> index of its interval, 0 for s and t
     for j, q in enumerate(inst.qsets, start=1):

@@ -17,21 +17,20 @@ below the graph threshold, by one of three strategies:
 * ``enumerate_flow`` (a historical name) runs an exact dynamic programme
   over the nodes in index order, whose states are the sides of the open
   nodes, the boundary so far and a flag; no flow is computed.  It returns
-  a ``FrontierFamily`` that holds the programme's DAG: one cut per path
-  from the start to an accepting state.  The forward pass counts those
-  paths, so the family's size, and how many of its cuts a layered
-  automaton accepts, cost no side.  The cuts themselves are walked back
-  from the accepting states only when they are read (iteration, ``cuts``,
-  ``sides``, membership): by ``--strategy both``, and when the certifier's
-  counts disagree.  Nodes with the same transition share one table of it,
-  built once: the built instances have 11 distinct tables at every k, and
-  the walk and the count read them.  Its work grows as 2^width in the
-  frontier width, which is capped at ``MAX_FRONTIER_WIDTH`` = 16; the built
-  instances have width 2.  On a shared 2-core x86 host with CPython 3.11
-  (medians of 9-21 calls, in five rounds) the forward pass takes 1.7-2.6 ms
-  at k = 24 (n = 278), 6-12 ms at k = 48 (n = 1130) and 21-46 ms at
-  k = 94 (n = 4373); the certifier's count 1.0-1.7 ms, 4-6 ms and
-  14-30 ms; the walk about 0.01 s, 0.2-0.3 s and 3.4-4.6 s;
+  a ``FrontierFamily`` that holds the programme's DAG and the graph it was
+  built from: one cut per path from the start to an accepting state.  The
+  forward pass counts those paths, so the family's size costs no side.
+  The cuts themselves are walked back from the accepting states only when
+  they are read (iteration, ``cuts``, ``sides``, membership): by
+  ``--strategy both``, and when the certifier's count proves nothing.  Nodes
+  with the same transition share one table of it, built once: the built
+  instances have 11 distinct tables at every k, and the walk reads them.
+  Its work grows as 2^width in the frontier width, which is capped at
+  ``MAX_FRONTIER_WIDTH`` = 16; the built instances have width 2.  On a
+  shared 2-core x86 host with CPython 3.11 (medians of 9-21 calls, in five
+  rounds) the forward pass takes 1.7-2.6 ms at k = 24 (n = 278), 6-12 ms
+  at k = 48 (n = 1130) and 21-46 ms at k = 94 (n = 4373); the walk about
+  0.01 s, 0.2-0.3 s and 3.4-4.6 s;
 * ``karger_probe`` repeats seeded capacity-weighted edge contraction, which
   can only ever find genuine cuts and serves as a randomized stress test.
 """
@@ -42,7 +41,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Callable, Hashable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -324,16 +323,15 @@ def enumerate_flow(g: CapGraph) -> FrontierFamily:
 
     This is the forward pass only: it keeps each node's transition table
     (the predecessors of each state after it) and counts the paths into
-    each state, so the returned family knows its size and can count its
-    cuts within a layered automaton without building a side.  Its cuts are
-    walked back from the final states on first use.  A transition reads
-    only the states before the node, the weights of the node's edges down
-    to open nodes and the open positions it keeps, so it is built once per
-    distinct key of those three and its table is shared by every node with
-    that key; a node with a known key costs one dict lookup and one sum of
-    path counts per state.  This holds for any graph: one whose nodes all
-    differ only builds every table.  The built instances have 11 distinct
-    tables at every k.
+    each state, so the returned family knows its size without building a
+    side.  Its cuts are walked back from the final states on first use.  A
+    transition reads only the states before the node, the weights of the
+    node's edges down to open nodes and the open positions it keeps, so it
+    is built once per distinct key of those three and its table is shared
+    by every node with that key; a node with a known key costs one dict
+    lookup and one sum of path counts per state.  This holds for any graph:
+    one whose nodes all differ only builds every table.  The built
+    instances have 11 distinct tables at every k.
 
     The work grows as ``2**width``, where the width is the largest number of
     open nodes; a graph wider than ``MAX_FRONTIER_WIDTH`` raises
@@ -395,31 +393,33 @@ def enumerate_flow(g: CapGraph) -> FrontierFamily:
         tables.append(table)
     final = lists[sid]
     size = sum(p for (_, _, flag), p in zip(final, paths) if flag)
-    return FrontierFamily(lam, tables, final, size)
+    return FrontierFamily(g, tables, final, size)
 
 
 class FrontierFamily(CutFamily):
-    """The small cuts of a graph held as the frontier DP's DAG.
+    """The small cuts of ``graph`` held as the frontier DP's DAG.
 
-    ``tables[v]``, for v >= 2, is node v's transition table: for each state
-    after v, the ``(j, s)`` pairs of its predecessors, state j after v - 1
-    with node v on side s.  Nodes with the same transition hold the same
-    table object.  ``len`` is the forward pass's count of accepting paths,
-    and ``count_accepted`` counts them within a layered automaton; neither
-    builds a side.  ``cuts``, and with it iteration, ``sides`` and
-    membership, walks the DAG back once on first use and keeps the result.
+    ``graph`` is the graph ``enumerate_flow`` was given, so the family is
+    exactly its small cuts.  ``tables[v]``, for v >= 2, is node v's
+    transition table: for each state after v, the ``(j, s)`` pairs of its
+    predecessors, state j after v - 1 with node v on side s.  Nodes with the
+    same transition hold the same table object.  ``len`` is the forward
+    pass's count of accepting paths and builds no side.  ``cuts``, and with
+    it iteration, ``sides`` and membership, walks the DAG back once on first
+    use and keeps the result.
     """
 
     def __init__(
         self,
-        lam: int,
+        graph: CapGraph,
         tables: list[Table],
         final: tuple[State, ...],
         size: int,
     ) -> None:
         # tables and final are enumerate_flow's tables and last states; size
         # is the number of its accepting paths
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "lam", graph.lam)
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "_final", final)
         object.__setattr__(self, "_size", size)
@@ -457,39 +457,6 @@ class FrontierFamily(CutFamily):
                     for j, t in tables[v][i]:
                         stack.append((v - 1, j, t))
         return CutFamily.collect(found, self.lam).cuts
-
-    def count_accepted(
-        self, start: Hashable, step: Callable[[int, Hashable, int], Hashable | None]
-    ) -> dict[Hashable, int]:
-        """How many cuts drive a deterministic layered automaton to each state.
-
-        The automaton reads the side of each node 2..n in index order:
-        ``start`` is its state after node 1 (always on side 0), and
-        ``step(v, state, side)`` its state after node v, or None when it
-        rejects.  One pass over the tables carries, for each DP state, the
-        number of paths into it that end in each automaton state; no
-        capacity is summed and no side is built.  Returns, over the
-        accepting final states, the number of cuts that end in each
-        automaton state.
-        """
-        layer: list[dict[Hashable, int]] = [{start: 1}]
-        for v in range(2, len(self.tables)):
-            after: list[dict[Hashable, int]] = []
-            for back in self.tables[v]:
-                counts: dict[Hashable, int] = {}
-                for j, s in back:
-                    for a, c in layer[j].items():
-                        b = step(v, a, s)
-                        if b is not None:
-                            counts[b] = counts.get(b, 0) + c
-                after.append(counts)
-            layer = after
-        ends: dict[Hashable, int] = {}
-        for (_, _, flag), counts in zip(self._final, layer):
-            if flag:
-                for a, c in counts.items():
-                    ends[a] = ends.get(a, 0) + c
-        return ends
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,13 @@ from smallcuts.construction import (
 from smallcuts.cuts import Cut, CutFamily, enumerate_bruteforce, enumerate_flow
 from smallcuts.exactmath import IntMatrix, det_bareiss
 
-from oracles import rational_det, rational_rank, rational_solve_unique, scan_small_cuts
+from oracles import (
+    boundary_capacity,
+    rational_det,
+    rational_rank,
+    rational_solve_unique,
+    scan_small_cuts,
+)
 from test_acceptance import dense, flip, reduced_matrix, with_rows
 
 
@@ -228,9 +234,13 @@ def mutated_graphs(draw, g):
     return dataclasses.replace(g, edges=tuple(edges))
 
 
-def _listed_count(inst, family):
-    """The cuts of a frontier family that the listed-side automaton accepts."""
-    return sum(family.count_accepted(certify.BEFORE, certify._listed_automaton(inst)).values())
+# the listed sides of the k = 4 instance, written out: n = 8, prefix sides
+# v..8 and the intervals 2..3, 4..5 and 6..7
+LISTED_K4 = {frozenset(range(v, 9)) for v in range(2, 9)} | {
+    frozenset({2, 3}),
+    frozenset({4, 5}),
+    frozenset({6, 7}),
+}
 
 
 class TestCountingVerdict:
@@ -256,7 +266,6 @@ class TestCountingVerdict:
             check = certify_instance(mutated, family)
         listed = {side for _, side in listed_small_cuts(inst)}
         sides = family.sides()
-        assert _listed_count(mutated, family) == len(sides & listed)
         if check is not None:
             assert check.family_exact == (sides == listed)
             assert check.missing == tuple(sorted(listed - sides, key=sorted))
@@ -267,18 +276,63 @@ class TestCountingVerdict:
     @pytest.mark.parametrize("j", (0, 2, 4))
     @pytest.mark.parametrize("first, last", ((0, 1), (0, -1), (1, 0), (-1, 0)))
     def test_shifted_interval_is_not_listed(self, inst6, family6, j, first, last):
-        # interval j moves by one node at one end, so the family holds the
-        # run first..last+1 (or first-1..last, ...) of the moved interval:
-        # an automaton that accepts any run, or is off by one at either end
-        # of an interval, would count it as listed
+        # interval j moves by one node at one end, so the intervals leave a
+        # node uncovered or cover one twice; the listed sums would misread
+        # every row, and the count would not prove the listed sides
+        # distinct, so the instance is refused before any verdict
         q = inst6.qsets[j]
         qsets = list(inst6.qsets)
         qsets[j] = q._replace(first=q.first + first, last=q.last + last)
         moved = dataclasses.replace(inst6, qsets=tuple(qsets))
-        listed = {side for _, side in listed_small_cuts(moved)}
-        assert _listed_count(moved, family6) == len(family6.sides() & listed) == len(family6) - 1
-        assert not certify_instance(moved, family6).family_exact
-        assert not certify_instance(moved, CutFamily.collect(family6, family6.lam)).family_exact
+        for family in (family6, CutFamily.collect(family6, family6.lam)):
+            with pytest.raises(ValueError, match=r"intervals do not partition 2\.\.16: "):
+                certify_instance(moved, family)
+
+    def test_widened_interval_is_refused(self, inst6, family6):
+        # interval 1 widened to 2..5 overlaps interval 2: read as a
+        # partition, its listed capacity was 4, where the side's is 7
+        assert boundary_capacity(inst6.graph.edges, range(2, 6)) == 7
+        widened = dataclasses.replace(inst6, qsets=(inst6.qsets[0]._replace(last=5), *inst6.qsets[1:]))
+        message = r"interval 1 = \[2, 5\] is followed by no interval at node 6"
+        with pytest.raises(ValueError, match=message):
+            certify_instance(widened, family6)
+        with pytest.raises(ValueError, match=message):
+            listed_capacity_table(widened)
+
+    def test_foreign_family_of_the_listed_size_is_walked(self, inst4):
+        # an 11-node path of capacity 3 under lam 5 has exactly the 10 small
+        # cuts {v..11}, as many as the k = 4 instance lists, and none of
+        # them listed: a count that did not ask whose graph the family
+        # enumerates would call it exact
+        path = construction.CapGraph(
+            n=11, edges=tuple(construction.Edge(v, v + 1, 3) for v in range(1, 11)), lam=5
+        )
+        family = enumerate_flow(path)
+        cert = certify_instance(inst4, family)
+        listed = LISTED_K4
+        foreign = {frozenset(range(v, 12)) for v in range(2, 12)}
+        assert len(family) == len(listed) == len(foreign) == 10
+        assert not cert.family_exact and not cert.is_basic
+        assert cert.missing == tuple(sorted(listed, key=sorted))
+        assert cert.surplus == tuple(sorted(foreign, key=sorted))
+        assert "family:missing=10" in cert.failures
+
+    def test_listed_cuts_past_lam_defeat_the_count(self, inst4):
+        # edge 1-2 at capacity 0 and edge 3-4 at 4: three listed cuts reach
+        # lam and three other cuts fall below it, so the family still has
+        # 10 cuts; only the listed capacities show that it is not the
+        # listed one
+        edges = list(inst4.graph.edges)
+        edges[0], edges[2] = edges[0]._replace(cap=0), edges[2]._replace(cap=4)
+        g = dataclasses.replace(inst4.graph, edges=tuple(edges))
+        found = set(scan_small_cuts(g.n, g.edges, g.lam))
+        listed = LISTED_K4
+        assert len(found) == len(listed) == 10 and found != listed
+        cert = certify_instance(dataclasses.replace(inst4, graph=g), enumerate_flow(g))
+        assert not cert.family_exact
+        assert cert.missing == tuple(sorted(listed - found, key=sorted))
+        assert cert.surplus == tuple(sorted(found - listed, key=sorted))
+        assert {"capacity:Q_1", "capacity:Q_2", "capacity:N_3"} <= set(cert.failures)
 
     @pytest.mark.parametrize("k", (4, 6))
     @pytest.mark.parametrize("lowered", ("all", "two links"))
@@ -310,14 +364,16 @@ class TestCountingVerdict:
         g = dataclasses.replace(inst4.graph, lam=7)
         family = enumerate_flow(g)
         found = set(scan_small_cuts(g.n, g.edges, g.lam))
-        within = len(found & {side for _, side in listed_small_cuts(inst4)})
         assert len(found) > family_walk_budget(inst4)
 
         def walked(self):
             raise AssertionError("a side was built")
 
         monkeypatch.setattr(cuts.FrontierFamily, "cuts", property(walked))
-        message = f"has {len(found)} cuts, {within} of them listed, against 10 listed cuts"
+        message = (
+            f"the enumerated family has {len(found)} cuts against 10 listed cuts; naming its "
+            "missing and surplus cuts is refused above 20 cuts"
+        )
         with pytest.raises(FamilySizeError, match=message):
             certify_instance(dataclasses.replace(inst4, graph=g), family)
 
@@ -711,11 +767,15 @@ class TestFullReduction:
     def test_unbracketed_interval_refused(self, inst6, family6):
         # an interval that reaches node n lies in no prefix cut, so the
         # replay has no covering prefix row to split it by
+        # (the rows are read first, and their sums refuse intervals that do
+        # not partition 2..n-1, so the split is given the instance's rows)
         q = inst6.qsets[-1]
         moved = dataclasses.replace(inst6, qsets=inst6.qsets[:-1] + (q._replace(last=q.last + 1),))
+        low, high = bracketing_prefixes(moved, 5)
         with pytest.raises(CertificationError, match="interval row 5: no prefix cuts 13 and 17"):
-            full_reduction(moved)
-        assert certify_instance(moved, family6).failures[-1] == "rank:unproved"
+            certify._split(moved, 5, inst6.cut_links, low, high)
+        with pytest.raises(ValueError, match=r"interval 5 = \[14, 17\] is not a run of nodes"):
+            certify_instance(moved, family6)
 
     @pytest.mark.parametrize("k", (4, 6, 8))
     def test_prefix_flip_or_path_swap_is_sound(self, k):

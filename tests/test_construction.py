@@ -341,6 +341,36 @@ class TestIncidenceMatrix:
                     assert bit_ids(bits) == [l.id for l in crossing], (k, label)
                     assert total == coverage(case, side) * den, (k, label)
 
+    # k = 4: n = 8, intervals [2, 3], [4, 5], [6, 7]
+    @pytest.mark.parametrize(
+        "qsets, message",
+        (
+            (((2, 4), (4, 5), (6, 7)), r"interval 1 = \[2, 4\] is followed by no interval at node 5"),
+            (((2, 3), (5, 5), (6, 7)), r"interval 1 = \[2, 3\] is followed by no interval at node 4"),
+            (((3, 3), (4, 5), (6, 7)), "no interval starts at node 2"),
+            (((2, 3), (4, 5), (6, 8)), r"interval 3 = \[6, 8\] is not a run of nodes within 2\.\.7"),
+            (((2, 3), (4, 3), (6, 7)), r"interval 2 = \[4, 3\] is not a run of nodes within 2\.\.7"),
+            (((2, 7), (4, 5), (6, 7)), r"interval 2 = \[4, 5\] meets nodes of another"),
+            (((2, 3), (4, 7), (8, 8)), r"interval 3 = \[8, 8\] meets nodes of another or lies outside"),
+            (((2, 3), (4, 7)), "expected 3 intervals, got 2"),
+        ),
+    )
+    def test_sums_refuse_intervals_that_do_not_partition(self, qsets, message):
+        # the crossing rule holds only for a partition of 2..n-1
+        inst = build_instance(4)
+        edited = dataclasses.replace(
+            inst, qsets=tuple(q._replace(first=a, last=b) for q, (a, b) in zip(inst.qsets * 2, qsets))
+        )
+        with pytest.raises(ValueError, match=r"intervals do not partition 2\.\.7: " + message):
+            listed_sums(edited, inst.graph.edges)
+
+    def test_sums_accept_a_partition_in_any_order(self):
+        # the rows follow the intervals' order; the check reads no order
+        inst = build_instance(4)
+        reordered = dataclasses.replace(inst, qsets=inst.qsets[::-1])
+        sums = listed_sums(reordered, inst.graph.edges)
+        assert sums == listed_sums(inst, inst.graph.edges)[2::-1] + sums[3:]
+
 
 def test_listed_small_cuts_labels():
     inst = build_instance(4)
