@@ -476,7 +476,9 @@ def certify_instance(inst: Instance, family: CutFamily) -> Certificate:
     An instance whose k - 1 intervals do not partition 2..n-1 gets no
     certificate: ``listed_sums`` raises a ValueError naming the interval
     where the partition breaks, since its rows, capacities and totals, and
-    the count that proves a frontier family exact, all assume one.
+    the count that proves a frontier family exact, all assume one.  Nor
+    does a graph with an edge end outside 1..n: ``listed_sums`` raises a
+    ValueError naming the edge's ends and n.
     """
     try:
         traces = tuple(full_reduction(inst))

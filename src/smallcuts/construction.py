@@ -380,8 +380,9 @@ def listed_sums(inst: Instance, pairs: Iterable[tuple[int, int, int]]) -> list[i
     the sum of ``value`` over the pairs (a, b, value) that cross it: the one
     crossing rule for the listed cuts.  A pair with ends in 1..n, in either
     order, crosses the prefix cuts min..max-1 and the intervals holding
-    exactly one end.  One pass over the pairs and one over the nodes: the
-    prefix sums run over a difference array.
+    exactly one end; a pair with an end outside 1..n is refused.  One pass
+    over the pairs and one over the nodes: the prefix sums run over a
+    difference array.
 
     Summing ``1 << id`` over the links gives each row as a bitset, ``cap``
     over the edges each listed cut's capacity, and a point's numerators over
@@ -397,6 +398,8 @@ def listed_sums(inst: Instance, pairs: Iterable[tuple[int, int, int]]) -> list[i
     steps = [0] * (n + 1)  # prefix cut i is crossed by the pairs with lo <= i < hi
     for a, b, value in pairs:
         lo, hi = (a, b) if a <= b else (b, a)
+        if lo < 1 or hi > n:
+            raise ValueError(f"pair ({a}, {b}) has an end outside 1..{n}")
         steps[lo] += value
         steps[hi] -= value
         if interval[lo] != interval[hi]:

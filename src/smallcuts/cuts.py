@@ -5,15 +5,17 @@ excludes node 1.  Enumeration returns every cut whose capacity is strictly
 below the graph threshold, by one of three strategies:
 
 * ``enumerate_bruteforce`` scans all 2^(n-1) - 1 canonical sides by subset
-  doubling in int64, guarded by the node budget ``MAX_BRUTE_NODES`` = 24 and
-  a total capacity below ``MAX_BRUTE_TOTAL`` = 2^63.  A table of the sides
-  of the low r = min(n - 1, ``SCAN_CHUNK_BITS`` = 19) canonical nodes is
-  built one node at a time, each side one add from a smaller one; each chunk
-  of 2^r sides, one set of the high nodes, is then the table plus that set's
-  capacity minus twice its cross term.  On a shared 2-core x86 host with
-  CPython 3.11 and numpy 2.4 (medians of 9-101 calls) the scan takes
-  0.7-0.9 ms at k = 6 (n = 17) and 30-50 ms on 24-node paths with chords,
-  with a tracemalloc peak of 8-16 MiB;
+  doubling in the narrowest of int8, int16, int32 and int64 that holds the
+  total capacity, guarded by the node budget ``MAX_BRUTE_NODES`` = 24 and a
+  total capacity below ``MAX_BRUTE_TOTAL`` = 2^63.  A table of the sides of
+  the low r = min(n - 1, ``SCAN_CHUNK_BITS`` = 19) canonical nodes is built
+  in place one node at a time, each side one add from a smaller one; when
+  r = n - 1 it is the answer, and otherwise each chunk of 2^r sides, one
+  set of the high nodes, is the table plus that set's capacity minus twice
+  its cross term.  On a shared 2-core x86 host with CPython 3.11 and
+  numpy 2.4 (medians of 21-301 calls, in three rounds) the scan takes
+  0.25-0.45 ms at k = 6 (n = 17, int8) and 4-14 ms on 24-node paths with
+  chords, with a tracemalloc peak of 0.13 and 1.5 MiB;
 * ``enumerate_flow`` (a historical name) runs an exact dynamic programme
   over the nodes in index order, whose states are the sides of the open
   nodes, the boundary so far and a flag; no flow is computed.  It returns
@@ -57,14 +59,16 @@ class BruteForceSizeError(ValueError):
 # so the built instances with k <= 6 fit.
 MAX_BRUTE_NODES = 24
 
-# Capacities are summed in int64 by the exhaustive scan; with capacities
-# >= 0 neither a cut nor any of the scan's intermediate sums exceeds the
-# total, so a total below this bound cannot wrap.
+# The exhaustive scan sums capacities in the narrowest integer type that
+# holds the total, int64 at the widest; with capacities >= 0 neither a cut
+# nor any of the scan's intermediate sums exceeds the total, so a total
+# below this bound cannot wrap.
 MAX_BRUTE_TOTAL = 2**63
 
 # The exhaustive scan's chunk: the sides of the low SCAN_CHUNK_BITS canonical
 # nodes, with one fixed set of the nodes above them; the table of the low
-# sides and each chunk hold 2**19 int64, 4 MB each.
+# sides and each chunk hold 2**19 integers, 512 KiB each in int8 and 4 MiB
+# in int64.
 SCAN_CHUNK_BITS = 19
 
 # Largest frontier width ``enumerate_flow`` accepts; its work grows as
@@ -164,85 +168,79 @@ def _check_connected(g: CapGraph) -> None:
 # exhaustive scan
 
 
-def _subset_sums(weights: list[int]) -> tuple[np.ndarray, int]:
-    """``(sums, low)``: for each m < 2**len(weights), ``sums[m >> low]`` is
-    the sum of ``weights[i]`` over the bits i set in m.
-
-    ``low`` is the number of zero weights at the bottom, which only repeat
-    each sum; the rest are built by doubling.  The sums are of capacities
-    of distinct edges, so none passes the total capacity."""
-    low = next((i for i, w in enumerate(weights) if w), len(weights))
-    sums = np.zeros(1, dtype=np.int64)
-    for w in weights[low:]:
-        sums = np.concatenate((sums, sums + w))
-    return sums, low
-
-
-def _scan_masks(g: CapGraph) -> list[tuple[int, int]]:
+def _scan_masks(g: CapGraph, total: int) -> list[tuple[int, int]]:
     """Every canonical-side bitmask of capacity below ``lam``, the empty
-    side 0 included, with its capacity; bit i is node i + 2.
+    side 0 included, with its capacity; bit i is node i + 2.  ``total`` is
+    the total capacity, which no cut passes.
 
     For a side S and a set P of nodes above all of S,
     cap(S | P) = cap(S) + cap(P) - 2 c(S, P), where c(S, P) is the capacity
     between them.  The table of the sides of the low r nodes is built once,
-    one node v at a time (P = {v}: the sides with v are the sides without it
-    plus one add).  Each chunk, one fixed set P of the high nodes, is then
-    the table plus cap(P), minus twice the cross term c(S, P), which only
-    low nodes joined to P make nonzero.  Every capacity is evaluated as
-    (cap(S) + (cap(P) - c)) - c: the first two terms count disjoint edges,
-    so no int64 intermediate passes the total capacity.
+    in place, one node v at a time (P = {v}: the sides with v are the sides
+    without it plus one add).  Each chunk, one fixed set P of the high
+    nodes, is then the table plus cap(P), minus twice the cross term
+    c(S, P): each low node u joined to P subtracts its capacity to P from
+    the masks with u, a strided view.  The chunk with no high node is the
+    table itself, so a graph whose sides all fit the table copies nothing.
+    Every capacity is evaluated as ((cap(P) - c) + cap(S)) - c: the first
+    two terms count disjoint edges, so every intermediate lies in
+    [0, total], and the arrays hold the narrowest integer type that holds
+    ``total``.
     """
     n = g.n
-    joint = [[0] * (n + 1) for _ in range(n + 1)]  # joint[u][v]: capacity between u and v
-    for x, y, c in g.edges:
-        if x != y:
-            joint[x][y] += c
-            joint[y][x] += c
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= total)
 
     def extend(table: np.ndarray, part: set[int], out: np.ndarray) -> None:
         # out[m] = cap(S | part) for the side S of each mask m of the table,
-        # whose nodes are all below part
-        lows = range(2, len(table).bit_length() + 1)
-        cross, low = _subset_sums([sum(joint[u][v] for v in part) for u in lows])
-        cross = cross[:, None]  # one row of out per 2**low masks
-        rows = out.reshape(len(cross), -1)
-        np.subtract(sum(c for x, y, c in g.edges if (x in part) != (y in part)), cross, out=rows)
-        rows += table.reshape(rows.shape)
-        rows -= cross
+        # whose nodes 2..last are all below part
+        last = len(table).bit_length()
+        cap, cross = 0, [0] * (last + 1)  # cross[u]: the capacity between u and part
+        for x, y, c in g.edges:
+            if (x in part) != (y in part):
+                cap += c
+                u = y if x in part else x
+                if 2 <= u <= last:
+                    cross[u] += c
+        views = [(out.reshape(-1, 2, 1 << (u - 2))[:, 1, :], w) for u, w in enumerate(cross) if w]
+        out.fill(cap)
+        for masks, w in views:
+            masks -= w
+        out += table
+        for masks, w in views:
+            masks -= w
 
     r = min(n - 1, SCAN_CHUNK_BITS)
-    table = np.zeros(1 << r, dtype=np.int64)
+    table = np.zeros(1 << r, dtype=dtype)
     for j in range(r):
         extend(table[: 1 << j], {j + 2}, table[1 << j : 2 << j])
-    caps = np.empty_like(table)
+    top = max(-1, min(g.lam - 1, total))  # in range of dtype, as is every capacity
+    caps = np.empty_like(table) if r < n - 1 else None
     found: list[tuple[int, int]] = []
     for high in range(1 << (n - 1 - r)):
-        extend(table, {v for v in range(r + 2, n + 1) if high >> (v - r - 2) & 1}, caps)
-        found += [((high << r) | int(m), int(caps[m])) for m in np.flatnonzero(caps < g.lam)]
+        chunk = table  # no high node: the table is the chunk
+        if high:
+            chunk = caps
+            extend(table, {v for v in range(r + 2, n + 1) if high >> (v - r - 2) & 1}, chunk)
+        masks = np.flatnonzero(chunk <= top)
+        found += zip((masks + (high << r)).tolist(), chunk[masks].tolist())
     return found
 
 
 def _mask_to_side(mask: int) -> frozenset[int]:
-    side = set()
-    v = 2
-    while mask:
-        if mask & 1:
-            side.add(v)
-        mask >>= 1
-        v += 1
-    return frozenset(side)
+    return frozenset(i + 2 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def enumerate_bruteforce(g: CapGraph) -> CutFamily:
     """Every small cut, by scanning all canonical sides.
 
-    The capacities come from ``_scan_masks``'s doubling table: the sides of
-    the low ``SCAN_CHUNK_BITS`` canonical nodes are built one node at a
-    time, and each chunk of 2**19 sides adds one set of the higher nodes to
-    all of them, so a graph at the node budget runs 16 chunks of 4 MB
-    arrays.  Refuses, after the input check all enumerators share, graphs
-    above ``MAX_BRUTE_NODES`` nodes and graphs whose total capacity reaches
-    ``MAX_BRUTE_TOTAL``, where the scan's int64 sums could wrap.
+    The capacities come from ``_scan_masks``'s doubling table, in the
+    narrowest integer type that holds the total capacity: the sides of the
+    low ``SCAN_CHUNK_BITS`` canonical nodes are built one node at a time,
+    and each chunk of 2**19 sides adds one set of the higher nodes to all of
+    them, so a graph at the node budget runs 15 chunks past the table, in
+    one reused array.  Refuses, after the input check all enumerators
+    share, graphs above ``MAX_BRUTE_NODES`` nodes and graphs whose total
+    capacity reaches ``MAX_BRUTE_TOTAL``, where even int64 sums could wrap.
     """
     _check_graph(g)
     if g.n > MAX_BRUTE_NODES:
@@ -258,7 +256,7 @@ def enumerate_bruteforce(g: CapGraph) -> CutFamily:
         )
     cuts = [
         Cut(side=_mask_to_side(mask), capacity=cap)
-        for mask, cap in _scan_masks(g)
+        for mask, cap in _scan_masks(g, capacity)
         if mask  # the empty side is no cut
     ]
     return CutFamily.collect(cuts, g.lam)

@@ -299,6 +299,18 @@ class TestCountingVerdict:
         with pytest.raises(ValueError, match=message):
             listed_capacity_table(widened)
 
+    @pytest.mark.parametrize("edge", ((1, 9, 1), (0, 3, 1), (-1, 3, 1)))
+    def test_edge_end_outside_the_nodes_is_refused(self, inst4, edge):
+        # past n the sums raised a bare IndexError; at 0 or below they read
+        # N_3 as 2, one less than without the edge, and raised nothing
+        edges = inst4.graph.edges + (construction.Edge(*edge),)
+        outside = dataclasses.replace(inst4, graph=dataclasses.replace(inst4.graph, edges=edges))
+        message = rf"pair \({edge[0]}, {edge[1]}\) has an end outside 1\.\.8"
+        with pytest.raises(ValueError, match=message):
+            certify_instance(outside, enumerate_flow(inst4.graph))
+        with pytest.raises(ValueError, match=message):
+            listed_capacity_table(outside)
+
     def test_foreign_family_of_the_listed_size_is_walked(self, inst4):
         # an 11-node path of capacity 3 under lam 5 has exactly the 10 small
         # cuts {v..11}, as many as the k = 4 instance lists, and none of

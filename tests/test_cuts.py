@@ -270,6 +270,50 @@ class TestBruteForce:
         assert len(fam) == (n - 1) * n // 2  # the intervals {i..j} and {i..n}
         assert peak <= 40 * 2**20
 
+    def test_memory_in_the_narrowest_type(self):
+        # the unit path's total is 23, so the table and the chunk are int8,
+        # 512 KiB each; the int64 scan peaked at 8.5 MiB on this graph
+        n = MAX_BRUTE_NODES
+        g = CapGraph(n, tuple(Edge(i, i + 1, 1) for i in range(1, n)), 3)
+        tracemalloc.start()
+        try:
+            enumerate_bruteforce(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "total", (127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1)
+    )
+    @pytest.mark.parametrize("shape", ("star", "chorded"))
+    def test_type_boundaries_match_subset_scan_oracle(self, total, shape):
+        # the scan sums in the narrowest integer type that holds the total;
+        # the star's side {2} has the total as its capacity, and the chorded
+        # graph subtracts cross terms of three low nodes
+        a, b = total // 2, total // 4
+        if shape == "star":
+            edges = (Edge(1, 2, a), Edge(2, 3, b), Edge(4, 2, total - a - b))
+        else:
+            c = total // 8
+            rest = total - a - b - c - 1
+            edges = (Edge(1, 2, a), Edge(3, 2, b), Edge(3, 4, c), Edge(2, 4, rest), Edge(4, 4, 1))
+        assert sum(e.cap for e in edges) == total
+        for lam in (-5, 0, 1, total, total + 1, 2**70):
+            g = CapGraph(4, edges, lam)
+            expected = scan_small_cuts(g.n, g.edges, lam)
+            assert {c.side: c.capacity for c in enumerate_bruteforce(g)} == expected
+        assert len(expected) == 7  # lam = 2**70 takes every side
+
+    def test_past_one_chunk_at_a_type_boundary(self):
+        # total 128 takes int16; the side of the even nodes crosses every
+        # edge, 128 in all, which int8 would wrap to -128, below any lam
+        n = MAX_BRUTE_NODES
+        g = CapGraph(n, tuple(Edge(i, i + 1, 106 if i == 22 else 1) for i in range(1, n)), 5)
+        assert sum(e.cap for e in g.edges) == 128
+        assert boundary_capacity(g.edges, range(2, n + 1, 2)) == 128
+        assert tuple(enumerate_bruteforce(g)) == tuple(enumerate_flow(g))
+
     def test_triangle_below_threshold_is_empty(self):
         assert len(enumerate_bruteforce(triangle(lam=1))) == 0
 
