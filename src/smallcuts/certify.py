@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .construction import (
     Instance,
@@ -30,15 +30,14 @@ from .construction import (
     listed_sums,
 )
 from .cuts import Cut, CutFamily, FrontierFamily
-from .exactmath import det_bareiss, rank
+from .exactmath import IntMatrix, det_bareiss, rank
 
 
 class CertificationError(Exception):
     """A verdict that should hold for every built instance failed."""
 
 
-@dataclass(frozen=True)
-class MoveStep:
+class MoveStep(NamedTuple):
     """One row operation of the push-to-source loop: subtract the row of
     prefix cut ``sub_nested``, add the row of ``add_nested``.  ``bits`` is
     the resulting link set, bit ``l`` for link ``l``."""
@@ -198,11 +197,15 @@ def _listed_side(inst: Instance, r: int) -> frozenset[int]:
 
 
 def _certificate(
-    inst: Instance, family: CutFamily, traces: tuple[ReductionTrace, ...], error: str | None
+    inst: Instance,
+    family: CutFamily,
+    circulant: IntMatrix,
+    traces: tuple[ReductionTrace, ...],
+    error: str | None,
 ) -> Certificate:
     """Assemble the certificate from every check and the replay's outcome:
     its ``traces``, or the ``error`` of a replay that failed, which leaves
-    the rank unproved."""
+    the rank unproved.  ``circulant`` is the one the replay read."""
     failures: list[str] = []
     caps = listed_capacity_table(inst)
     lam = inst.graph.lam
@@ -233,7 +236,7 @@ def _certificate(
     feasible = not uncovered
     failures.extend(f"coverage:{side}" for side in uncovered)
     tight = True
-    for label, total in zip(listed_labels(inst), totals):
+    for label, total in zip(caps, totals):  # caps is keyed by label, in row order
         if total != den:
             tight = False
             failures.append(f"tightness:{label}")
@@ -242,7 +245,7 @@ def _certificate(
         failures.append("bounds")
     if error is None:
         # the replay's block shape gives det A = 2^(k-1) det C
-        rank_a, det_a = inst.m, 2 ** (inst.k - 1) * det_bareiss(build_circulant(inst.k))
+        rank_a, det_a = inst.m, 2 ** (inst.k - 1) * det_bareiss(circulant)
     else:
         rank_a = det_a = None
         failures.append("rank:unproved")
@@ -289,8 +292,19 @@ def _check_link_indexing(inst: Instance) -> None:
     ``f`` starts at node 1 for ``f <= k`` and at ``f - k + 1`` after that,
     as ``validate_instance`` requires, and source link ``f`` is on path ``f``.
     That indexing, and a path in 1..k for every link, is checked once per
-    call, in O(m)."""
-    k = inst.k
+    call, in O(m): column by column, and link by link only to name the
+    first link that breaks it."""
+    k, m = inst.k, inst.m
+    ids, los, _, paths = tuple(zip(*inst.links)) or ((),) * 4
+    others = paths[k:]
+    if (
+        ids == tuple(range(1, m + 1))
+        and los == (1,) * min(k, m) + tuple(range(2, m - k + 2))
+        and paths[:k] == ids[:k]
+        and 1 <= min(others, default=1)
+        and max(others, default=k) <= k
+    ):
+        return
     for f, l in enumerate(inst.links, start=1):
         on_path = l.path == f if f <= k else 1 <= l.path <= k
         if (l.id, l.lo) != (f, max(f - k + 1, 1)) or not on_path:
@@ -354,7 +368,7 @@ def _move_loop(inst: Instance, rows: Sequence[int], cur: int) -> tuple[int, tupl
         new_high = max(new.bit_length() - k, 1)
         if new_high >= high:
             raise CertificationError(f"move {high}->{low} made no progress")
-        moves.append(MoveStep(sub_nested=high, add_nested=low, bits=new))
+        moves.append(MoveStep(high, low, new))
         cur, high = new, new_high
     return cur, tuple(moves)
 
@@ -392,7 +406,7 @@ def push_to_source(
     return final, moves
 
 
-def full_reduction(inst: Instance) -> list[ReductionTrace]:
+def full_reduction(inst: Instance, circulant: IntMatrix | None = None) -> list[ReductionTrace]:
     """Reduce every interval-cut row of the incidence matrix to a path
     indicator row, verify the resulting block shape, and return the traces.
 
@@ -407,12 +421,21 @@ def full_reduction(inst: Instance) -> list[ReductionTrace]:
     none right of it (the prefix block is unit lower triangular).  The
     replay ends by checking that the circulant is nonsingular; with the
     block shape that gives rank m.
+
+    ``circulant`` is ``build_circulant(inst.k)``: built here, after the
+    link indexing is checked, unless a caller that reads it too passes it.
+    ``certify_instance`` does, so a certificate builds one circulant and
+    eliminates it once, for this rank and for its determinant.
     """
     _check_link_indexing(inst)
     rows, k = inst.cut_links, inst.k
-    circulant = build_circulant(k)
+    if circulant is None:
+        circulant = build_circulant(k)
     # column j of the circulant: the paths i with a 1 in row i
-    columns = [frozenset(i for i, x in enumerate(c, 1) if x) for c in zip(*circulant.to_rows())]
+    columns = [
+        frozenset(i for i, x in enumerate(circulant.entries[c :: k - 1], 1) if x)
+        for c in range(k - 1)
+    ]
     traces: list[ReductionTrace] = []
     for j, column in enumerate(columns, start=1):
         low, high = bracketing_prefixes(inst, j)
@@ -469,19 +492,31 @@ def certify_instance(inst: Instance, family: CutFamily) -> Certificate:
     halvings, and it checks the final shape ``[[C^T, 0], [*, L]]`` with
     ``L`` unit lower triangular and the circulant ``C`` nonsingular.  So
     ``det A = 2^(k-1) det C``, and neither ``A`` nor any m x m elimination
-    is needed.  A failed replay gives ``reduction_ok`` false, no traces,
-    its message in ``reduction_error``, ``rank_a`` and ``det_a`` None and
-    the failure ``rank:unproved``, so ``is_basic`` is false too.
+    is needed.  One circulant is built per certificate: the replay reads
+    its columns and its rank, the determinant is read from the same
+    object, and that object is eliminated once for both.  A failed replay
+    gives ``reduction_ok`` false, no traces, its message in
+    ``reduction_error``, ``rank_a`` and ``det_a`` None and the failure
+    ``rank:unproved``, so ``is_basic`` is false too.
 
     An instance whose k - 1 intervals do not partition 2..n-1 gets no
     certificate: ``listed_sums`` raises a ValueError naming the interval
     where the partition breaks, since its rows, capacities and totals, and
     the count that proves a frontier family exact, all assume one.  Nor
     does a graph with an edge end outside 1..n: ``listed_sums`` raises a
-    ValueError naming the edge's ends and n.
+    ValueError naming the edge's ends and n.  Nor does an instance whose
+    point is not one coordinate for each of at least one link: that is a
+    ValueError naming both counts, raised before any sweep.  Nor does one
+    whose k is not an even integer >= 4: ``build_circulant`` refuses it.
     """
+    if not inst.links or len(inst.xstar) != inst.m:
+        raise ValueError(
+            f"the point has {len(inst.xstar)} coordinates for {inst.m} links; "
+            "a certificate needs one coordinate per link, and at least one link"
+        )
+    circulant = build_circulant(inst.k)
     try:
-        traces = tuple(full_reduction(inst))
+        traces = tuple(full_reduction(inst, circulant))
     except CertificationError as exc:
-        return _certificate(inst, family, (), str(exc))
-    return _certificate(inst, family, traces, None)
+        return _certificate(inst, family, circulant, (), str(exc))
+    return _certificate(inst, family, circulant, traces, None)

@@ -167,6 +167,11 @@ def path_q_incidence(k: int, i: int, j: int) -> bool:
     intervals, wrapping around modulo k-1.
     """
     _check_k(k)
+    return _meets(k, i, j)
+
+
+def _meets(k: int, i: int, j: int) -> bool:
+    """``path_q_incidence`` for a k already checked."""
     return (j - i) % (k - 1) < k // 2
 
 
@@ -196,13 +201,14 @@ def build_graph(k: int) -> CapGraph:
 
 
 def build_circulant(k: int) -> IntMatrix:
-    """(k-1) x (k-1) path/interval incidence matrix; circulant with k/2 ones per row."""
+    """(k-1) x (k-1) path/interval incidence matrix; circulant with k/2 ones
+    per row.  Entry (i, j) is ``path_q_incidence(k, i, j)``; k is checked
+    once, not once per entry."""
     _check_k(k)
-    return IntMatrix.from_rows(
-        [
-            [1 if path_q_incidence(k, i, j) else 0 for j in range(1, k)]
-            for i in range(1, k)
-        ]
+    return IntMatrix(
+        k - 1,
+        k - 1,
+        tuple(1 if _meets(k, i, j) else 0 for i in range(1, k) for j in range(1, k)),
     )
 
 

@@ -2,7 +2,10 @@
 
 One Bareiss elimination loop serves both kernels: it returns the rank and
 the determinant of a matrix together, and `rank` and `det_bareiss` each
-read one of the two.
+read one of the two.  A matrix is eliminated at most once: an `IntMatrix`
+keeps the pair on the object itself, so `rank(m)` followed by
+`det_bareiss(m)` eliminates `m` once.  Nothing is kept beyond the object;
+an equal matrix built anew is eliminated anew.
 
 Every quantity that feeds a certification verdict is an exact integer or a
 `fractions.Fraction`; there is no floating point in this module.  An
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 
@@ -81,6 +85,12 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    @cached_property
+    def _rank_det(self) -> tuple[int, int]:
+        """``(rank, det)`` by ``_eliminate``, computed once per object: the
+        entries are frozen, so the pair cannot go stale."""
+        return _eliminate(self)
+
 
 def _eliminate(m: IntMatrix) -> tuple[int, int]:
     """Fraction-free (one-step Bareiss) elimination with column scan.
@@ -125,9 +135,9 @@ def det_bareiss(m: IntMatrix) -> int:
     """Exact determinant, by the shared fraction-free elimination."""
     if not m.is_square:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    return _eliminate(m)[1]
+    return m._rank_det[1]
 
 
 def rank(m: IntMatrix) -> int:
     """Rank over the rationals, by the shared fraction-free elimination."""
-    return _eliminate(m)[0]
+    return m._rank_det[0]

@@ -408,6 +408,35 @@ class TestVerifyBasic:
         assert cert.rank_a == 21
         assert cert.max_coordinate == Fraction(1, 6)
 
+    @pytest.mark.parametrize(
+        "links, xstar, counts",
+        (
+            (None, lambda xs: xs[:-1], "9 coordinates for 10 links"),
+            (None, lambda xs: xs + xs[:1], "11 coordinates for 10 links"),
+            ((), lambda xs: (), "0 coordinates for 0 links"),
+        ),
+        ids=("short", "long", "no-links"),
+    )
+    def test_point_not_one_per_link_refused(
+        self, inst4, family4, monkeypatch, links, xstar, counts
+    ):
+        # A point one coordinate short gave an IndexError, one long gave a
+        # basic verdict with a maximum no link carries, and no links gave
+        # max() of nothing; each is refused, naming both counts, before
+        # the replay or any sum over the listed cuts runs.
+        bad = dataclasses.replace(
+            inst4, links=inst4.links if links is None else links, xstar=xstar(inst4.xstar)
+        )
+        replays = _count_calls(monkeypatch, "full_reduction")
+        sweeps, real = [], construction.listed_sums
+        for module in (construction, certify):
+            monkeypatch.setattr(
+                module, "listed_sums", lambda inst, pairs: sweeps.append(inst) or real(inst, pairs)
+            )
+        with pytest.raises(ValueError, match=f"the point has {counts}"):
+            certify_instance(bad, family4)
+        assert replays == sweeps == []
+
     def test_perturbed_point_breaks_tightness(self, inst4, family4):
         xs = list(inst4.xstar)
         xs[0] = Fraction(1, 2)
@@ -776,6 +805,39 @@ class TestFullReduction:
         with pytest.raises(CertificationError, match="not indexed as the replay reads it"):
             full_reduction(dataclasses.replace(inst4, links=tuple(links)))
 
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_link_indexing_matches_link_by_link_check(self, data):
+        # The column check accepts exactly the links the link-by-link check
+        # accepts, and names the same first bad link: single- and
+        # multi-field edits of id, lo and path, and fewer links than k.
+        inst = build_instance(data.draw(st.sampled_from((4, 6, 8, 10)), label="k"))
+        links = list(inst.links)
+        k, last = inst.k, len(links) - 1
+        for _ in range(data.draw(st.integers(0, 3), label="edits")):
+            # any link, or one at an edge of the source links or the list
+            f = data.draw(st.integers(0, last) | st.sampled_from((0, k - 1, k, last)))
+            fields = data.draw(st.sets(st.sampled_from(("id", "lo", "path")), min_size=1))
+            # each value at, next to or just outside what the check accepts
+            id_, lo, path = links[f].id, links[f].lo, links[f].path
+            values = {
+                "id": st.sampled_from((id_ - 1, id_, id_ + 1)),
+                "lo": st.sampled_from((lo - 1, lo, lo + 1)),
+                "path": st.sampled_from((0, 1, path, k, k + 1)),
+            }
+            links[f] = links[f]._replace(
+                **{name: data.draw(values[name], label=name) for name in sorted(fields)}
+            )
+        length = data.draw(st.just(len(links)) | st.integers(0, k - 1), label="links kept")
+        edited = dataclasses.replace(inst, links=tuple(links[:length]))
+        expected = _link_by_link(edited)
+        if expected is None:
+            certify._check_link_indexing(edited)
+        else:
+            with pytest.raises(CertificationError) as refused:
+                certify._check_link_indexing(edited)
+            assert str(refused.value) == expected
+
     def test_unbracketed_interval_refused(self, inst6, family6):
         # an interval that reaches node n lies in no prefix cut, so the
         # replay has no covering prefix row to split it by
@@ -835,6 +897,17 @@ class TestFullReduction:
         moves = [step for t in traces for step in t.moves]
         assert len(moves) > 200 and len(decoded) <= k - 1 and read == []
         assert traces[-1].final == moves[-1].links and read == [1]
+
+
+def _link_by_link(inst):
+    """The message of the first link not indexed as the replay reads it,
+    or None: the check as it ran one link at a time."""
+    k = inst.k
+    for f, l in enumerate(inst.links, start=1):
+        on_path = l.path == f if f <= k else 1 <= l.path <= k
+        if (l.id, l.lo) != (f, max(f - k + 1, 1)) or not on_path:
+            return f"link {list(l)} at position {f} is not indexed as the replay reads it"
+    return None
 
 
 class TestMoveRefusals:
@@ -906,17 +979,33 @@ def test_one_elimination_per_certificate(inst6, family6, monkeypatch, tmp_path):
     monkeypatch.setattr(exactmath, "_eliminate", counted)
     builds = _count_calls(monkeypatch, "build_incidence_matrix")
     replays = _count_calls(monkeypatch, "full_reduction")
+    circulants = _count_calls(monkeypatch, "build_circulant")
     cert = certify_instance(inst6, family6)
     assert cert.is_basic and cert.reduction_ok
-    # the circulant's rank in the replay and its determinant; no 21 x 21,
-    # and the replay runs on the sparse rows without building A
-    assert shapes == [(5, 5), (5, 5)]
+    # one circulant, eliminated once for the replay's rank and the
+    # determinant; no 21 x 21, and the replay runs on the sparse rows
+    # without building A
+    assert shapes == [(5, 5)] and circulants == [6]
     assert (len(builds), len(replays)) == (0, 1)
-    shapes.clear(), builds.clear(), replays.clear()
+    shapes.clear(), builds.clear(), replays.clear(), circulants.clear()
     out = tmp_path / "cert.json"
     assert cli.main(["verify", "-k", "6", "--strategy", "flow", "--out", str(out)]) == 0
-    assert shapes == [(5, 5), (5, 5)]
+    assert shapes == [(5, 5)] and circulants == [6]
     assert (len(builds), len(replays)) == (0, 1)
+
+
+def test_nothing_kept_between_certificates(inst6, family6, monkeypatch):
+    # each certificate builds its own circulant and eliminates it once:
+    # nothing is cached from one certificate to the next
+    shapes = []
+    eliminate = exactmath._eliminate
+    monkeypatch.setattr(
+        exactmath, "_eliminate", lambda m: shapes.append((m.rows, m.cols)) or eliminate(m)
+    )
+    circulants = _count_calls(monkeypatch, "build_circulant")
+    first, second = certify_instance(inst6, family6), certify_instance(inst6, family6)
+    assert first == second and first.det_a == 6 * 2**4
+    assert shapes == [(5, 5), (5, 5)] and circulants == [6, 6]
 
 
 @pytest.mark.parametrize("replay", ("succeeds", "fails"))
@@ -944,10 +1033,11 @@ def test_no_dense_matrix_at_k94(monkeypatch, replay):
 
     monkeypatch.setattr(IntMatrix, "__post_init__", recorded)
     monkeypatch.setattr(exactmath, "_eliminate", counted)
+    circulants = _count_calls(monkeypatch, "build_circulant")
     cert = certify_instance(inst, family)
-    assert all(rows < inst.k for rows, _ in built + eliminated)
+    assert all(rows < inst.k for rows, _ in built + eliminated) and circulants == [94]
     if replay == "succeeds":
-        assert not cert.false_verdicts and eliminated == [(93, 93), (93, 93)]
+        assert not cert.false_verdicts and eliminated == [(93, 93)]
         assert (cert.rank_a, cert.det_a) == (inst.m, 94 * 2**92)
     else:
         assert eliminated == [] and cert.false_verdicts == ("is_basic", "reduction_ok")

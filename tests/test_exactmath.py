@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smallcuts import exactmath
 from smallcuts.construction import build_incidence_matrix, build_instance
 from smallcuts.exactmath import IntMatrix, det_bareiss, rank
 
@@ -218,6 +219,23 @@ class TestIntMatrix:
     def test_transpose_roundtrip(self):
         m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert m.transpose().transpose() == m
+
+
+def test_elimination_kept_per_object_only(monkeypatch):
+    # rank and then det_bareiss of one matrix eliminate it once; an equal
+    # but distinct matrix is eliminated again, and the kept pair changes
+    # neither equality, hash nor repr
+    calls = []
+    eliminate = exactmath._eliminate
+    monkeypatch.setattr(exactmath, "_eliminate", lambda m: calls.append(m) or eliminate(m))
+    rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    m = IntMatrix.from_rows(rows)
+    assert (rank(m), det_bareiss(m), rank(m)) == (3, 18, 3)
+    assert len(calls) == 1 and calls[0] is m
+    twin = IntMatrix.from_rows(rows)
+    assert (det_bareiss(twin), rank(twin)) == (18, 3)
+    assert len(calls) == 2 and calls[1] is twin
+    assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
 
 
 def test_rat_is_reduced_exact():
