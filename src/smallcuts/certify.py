@@ -148,6 +148,10 @@ def _family(
     Otherwise its cuts are walked and compared by shape, like an explicit
     family's, but only when it holds at most ``family_walk_budget`` cuts; a
     larger family raises ``FamilySizeError``, naming both counts.
+
+    Compared by shape, through ``_listed_rows`` and each cut's ``extent``, a
+    family costs O(1) per cut; a side is sorted only to name it as missing
+    or surplus.
     """
     if isinstance(family, FrontierFamily):
         listed = inst.k + inst.n - 2
@@ -175,17 +179,21 @@ def _listed_rows(inst: Instance, family: CutFamily) -> list[int | None]:
     """For each cut of the family, in order, the incidence row of the listed
     cut with the same side, or None.  A listed side is recognised by its
     shape, a run lo..hi of nodes: ``hi = n`` with ``lo >= 2`` is prefix cut
-    N_{lo-1}, and an interval's (first, last) is that interval's cut."""
+    N_{lo-1}, and an interval's (first, last) is that interval's cut.
+
+    The shape is read from the cut's ``extent``, (lo, hi), and the size of
+    its side, so each cut costs O(1): ``CutFamily.collect`` records the
+    extent of every cut it orders, and a cut built otherwise computes it
+    once, on first read.  No side is sorted or scanned here."""
     k, n = inst.k, inst.n
     qrow = {(q.first, q.last): j for j, q in enumerate(inst.qsets)}
     rows: list[int | None] = []
     for c in family:
-        side, row = c.side, None
-        if side:
-            ordered = sorted(side)  # nearly in order: faster than min and max
-            lo, hi = ordered[0], ordered[-1]
-            if hi - lo + 1 == len(side):
-                row = k - 3 + lo if hi == n and lo >= 2 else qrow.get((lo, hi))
+        ends, row = c.extent, None
+        if ends is not None:
+            lo, hi = ends
+            if hi - lo + 1 == len(c.side):
+                row = k - 3 + lo if hi == n and lo >= 2 else qrow.get(ends)
         rows.append(row)
     return rows
 

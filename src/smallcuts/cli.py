@@ -25,9 +25,10 @@ from .certify import (
     certify_instance,
     full_reduction,
 )
-from .construction import bit_ids, build_instance
+from .construction import bit_ids, build_instance, node_count
 from .cuts import (
     BruteForceSizeError,
+    check_brute_nodes,
     enumerate_bruteforce,
     enumerate_flow,
     karger_probe,
@@ -131,6 +132,9 @@ def _cmd_export_lp(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.strategy in ("brute", "both"):
+        # refused from k alone: an instance past the budget is never built
+        check_brute_nodes(node_count(args.k))
     inst = build_instance(args.k)
     started = time.perf_counter()
     families = {}

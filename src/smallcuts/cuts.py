@@ -78,8 +78,20 @@ MAX_FRONTIER_WIDTH = 16
 
 @dataclass(frozen=True)
 class Cut:
+    """A cut: its canonical ``side`` and its ``capacity``.
+
+    ``extent`` is ``(min(side), max(side))``, or None for an empty side.  It
+    is derived from the frozen side and kept on the object, not a field, so
+    equality, hashing, ``repr`` and ``dataclasses.replace`` ignore it.  A
+    cut computes it on first read, unless ``CutFamily.collect`` already
+    recorded it from the sorted side its order builds."""
+
     side: frozenset[int]
     capacity: int
+
+    @cached_property
+    def extent(self) -> tuple[int, int] | None:
+        return (min(self.side), max(self.side)) if self.side else None
 
 
 @dataclass(frozen=True)
@@ -89,13 +101,23 @@ class CutFamily:
 
     @classmethod
     def collect(cls, cuts: Iterable[Cut], lam: int) -> "CutFamily":
+        """The cuts, one per side (the last given wins), in (size, sorted
+        side) order, or a ValueError naming a cut of capacity ``lam`` or
+        more.  Each kept cut's ``extent`` is recorded from the sorted side
+        its sort key builds, so no side is sorted twice."""
         by_side: dict[frozenset[int], Cut] = {}
         for c in cuts:
             if c.capacity >= lam:
                 raise ValueError(f"cut {sorted(c.side)} has capacity {c.capacity} >= {lam}")
             by_side[c.side] = c
-        ordered = sorted(by_side.values(), key=lambda c: (len(c.side), sorted(c.side)))
-        return cls(tuple(ordered), lam)
+
+        def key(c: Cut) -> tuple[int, list[int]]:
+            ordered = sorted(c.side)
+            # the value Cut.extent computes, written where it caches it
+            c.__dict__["extent"] = (ordered[0], ordered[-1]) if ordered else None
+            return len(ordered), ordered
+
+        return cls(tuple(sorted(by_side.values(), key=key)), lam)
 
     @cached_property
     def _side_set(self) -> frozenset[frozenset[int]]:
@@ -226,6 +248,18 @@ def _scan_masks(g: CapGraph, total: int) -> list[tuple[int, int]]:
     return found
 
 
+def check_brute_nodes(n: int) -> None:
+    """Refuse a graph of ``n`` nodes above the exhaustive-scan budget
+    ``MAX_BRUTE_NODES`` with a ``BruteForceSizeError``; the scan's one
+    statement of that budget, which a caller can apply before it builds a
+    graph."""
+    if n > MAX_BRUTE_NODES:
+        raise BruteForceSizeError(
+            f"{n} nodes exceeds the exhaustive-scan budget of {MAX_BRUTE_NODES}; "
+            "use enumerate_flow"
+        )
+
+
 def _mask_to_side(mask: int) -> frozenset[int]:
     return frozenset(i + 2 for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -243,11 +277,7 @@ def enumerate_bruteforce(g: CapGraph) -> CutFamily:
     capacity reaches ``MAX_BRUTE_TOTAL``, where even int64 sums could wrap.
     """
     _check_graph(g)
-    if g.n > MAX_BRUTE_NODES:
-        raise BruteForceSizeError(
-            f"{g.n} nodes exceeds the exhaustive-scan budget of {MAX_BRUTE_NODES}; "
-            "use enumerate_flow"
-        )
+    check_brute_nodes(g.n)
     capacity = sum(c for _, _, c in g.edges)
     if capacity >= MAX_BRUTE_TOTAL:
         raise BruteForceSizeError(

@@ -183,7 +183,9 @@ class TestListedRows:
     @given(data=st.data())
     def test_shape_rule_is_a_side_lookup(self, k, data):
         # the row _listed_rows reads from a side's shape is the row of the
-        # listed cut with that side, and None for every other side
+        # listed cut with that side, and None for every other side, whether
+        # the cuts compute their extents on first read or CutFamily.collect
+        # records them while it reorders the cuts
         inst = build_instance(k)
         n = inst.n
         row_of = {side: r for r, (_, side) in enumerate(listed_small_cuts(inst))}
@@ -192,7 +194,13 @@ class TestListedRows:
         def shifted(side, d_lo, d_hi):
             return frozenset(range(max(min(side) + d_lo, 1), min(max(side) + d_hi, n) + 1))
 
+        def run(lo, hi):
+            return frozenset(range(lo, hi + 1))
+
         step = st.sampled_from((-1, 0, 1))
+        # ends outside 1..n: 0, negatives and n+1..n+3
+        beyond = st.sampled_from((-3, -2, -1, 0, n + 1, n + 2, n + 3))
+        node = st.integers(-3, n + 3)
         sides = data.draw(
             st.lists(
                 st.one_of(
@@ -204,11 +212,35 @@ class TestListedRows:
                     st.integers(1, n).map(lambda hi: frozenset(range(1, hi + 1))),
                     st.frozensets(st.integers(1, n)),
                     st.just(frozenset()),
+                    st.builds(lambda s, v: s | {v}, listed, beyond),
+                    st.builds(run, beyond, st.integers(1, n)),
+                    st.builds(run, st.integers(1, n), beyond),
+                    st.builds(run, node, node),
+                    st.frozensets(node),
                 )
             )
         )
-        family = CutFamily(tuple(Cut(side=s, capacity=0) for s in sides), inst.graph.lam)
+        lam = inst.graph.lam
+        family = CutFamily(tuple(Cut(side=s, capacity=0) for s in sides), lam)
         assert certify._listed_rows(inst, family) == [row_of.get(s) for s in sides]
+        collected = CutFamily.collect((Cut(side=s, capacity=0) for s in sides), lam)
+        assert [c.side for c in collected] == sorted(set(sides), key=lambda s: (len(s), sorted(s)))
+        assert certify._listed_rows(inst, collected) == [row_of.get(c.side) for c in collected]
+
+    @pytest.mark.parametrize("k", (4, 8))
+    def test_certifying_a_collected_family_twice_is_identical(self, k):
+        # extents recorded by collect, and read again by a second certificate,
+        # give what fresh cuts computing their own give
+        inst = build_instance(k)
+        lam = inst.graph.lam
+        cut_list = [Cut(side=s, capacity=3) for _, s in listed_small_cuts(inst)]
+        cut_list += [Cut(side=frozenset({inst.n - 1}), capacity=3)]  # one surplus cut
+        family = CutFamily.collect(cut_list, lam)
+        first = certify_instance(inst, family)
+        assert first == certify_instance(inst, family)
+        fresh = CutFamily(tuple(Cut(side=c.side, capacity=c.capacity) for c in family), lam)
+        assert first == certify_instance(inst, fresh)
+        assert first.surplus == (frozenset({inst.n - 1}),) and not first.missing
 
 
 @st.composite

@@ -11,6 +11,7 @@ from smallcuts.cuts import (
     MAX_BRUTE_NODES,
     SCAN_CHUNK_BITS,
     BruteForceSizeError,
+    Cut,
     CutFamily,
     FrontierFamily,
     canonical_cut,
@@ -152,6 +153,56 @@ class TestCutCapacity:
         c = canonical_cut(inst4.graph, {1, 2})
         assert c.side == frozenset(range(3, 9))
         assert c.capacity == cut_capacity(inst4.graph, {1, 2})
+
+
+class TestCutExtent:
+    # Cut.extent is (min(side), max(side)), or None for an empty side: kept
+    # on the object, recorded by CutFamily.collect, never a field
+
+    @staticmethod
+    def ends(side):
+        return (min(side), max(side)) if side else None
+
+    def test_collected_cuts_carry_their_extent(self, inst4, inst6):
+        record = CutFamily.collect(
+            (canonical_cut(inst6.graph, side) for _, side in listed_small_cuts(inst6)),
+            inst6.graph.lam,
+        )
+        given_order = (Cut(frozenset({9, 3}), 0), Cut(frozenset(), 0), Cut(frozenset({5}), 0))
+        families = (
+            enumerate_bruteforce(inst4.graph),
+            enumerate_flow(inst6.graph),
+            karger_probe(inst6.graph, 200, 3),
+            record,
+            CutFamily.collect(given_order, 1),
+        )
+        for family in families:
+            assert len(family.cuts) > 0
+            for c in family:
+                assert "extent" in vars(c)  # recorded, not computed on read
+                assert c.extent == self.ends(c.side)
+
+    def test_direct_and_replaced_cuts_compute_their_own(self):
+        c = Cut(frozenset({7, 2, 5}), 3)
+        assert "extent" not in vars(c)
+        assert c.extent == (2, 7)
+        assert Cut(frozenset(), 0).extent is None
+        (kept,) = CutFamily.collect([c], 4).cuts
+        assert kept is c and kept.extent == (2, 7)
+        for side in ({4, 11}, {-2, 0, 3}, set()):
+            moved = dataclasses.replace(c, side=frozenset(side))
+            assert "extent" not in vars(moved)
+            assert moved.extent == self.ends(side)
+        assert c.extent == (2, 7)
+
+    def test_equality_hash_and_repr_ignore_it(self):
+        read, unread = Cut(frozenset({3, 6}), 2), Cut(frozenset({3, 6}), 2)
+        assert read.extent == (3, 6) and "extent" not in vars(unread)
+        assert read == unread and hash(read) == hash(unread)
+        assert repr(read) == repr(unread) == "Cut(side=frozenset({3, 6}), capacity=2)"
+        assert [f.name for f in dataclasses.fields(Cut)] == ["side", "capacity"]
+        assert dataclasses.astuple(read) == (frozenset({3, 6}), 2)
+        assert read != Cut(frozenset({3, 4, 5, 6}), 2)  # same extent, other side
 
 
 @pytest.mark.parametrize(

@@ -370,6 +370,21 @@ class TestCli:
         assert cli.main(["verify", "-k", "8", "--strategy", "brute"]) == 2
         assert "enumerate_flow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy", ("brute", "both"))
+    def test_brute_guard_refuses_before_building(self, monkeypatch, capsys, strategy):
+        # the node budget is applied to node_count(k), before any instance is
+        # built: at k = 10^8 a build would not finish
+        def refused(k):
+            raise AssertionError(f"an instance was built for k = {k}")
+
+        monkeypatch.setattr(cli, "build_instance", refused)
+        assert cli.main(["verify", "-k", "100000000", "--strategy", strategy]) == 2
+        n = 2 + 100000000 * 99999999 // 2
+        assert capsys.readouterr().err == (
+            f"error: {n} nodes exceeds the exhaustive-scan budget of "
+            f"{cuts.MAX_BRUTE_NODES}; use enumerate_flow\n"
+        )
+
     def test_reduce_text_k4(self, capsys):
         assert cli.main(["reduce", "-k", "4"]) == 0
         text = capsys.readouterr().out
