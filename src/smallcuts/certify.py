@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
@@ -351,12 +352,15 @@ def _move_loop(inst: Instance, rows: Sequence[int], cur: int) -> tuple[int, tupl
     the containing prefix cut.  The caller vouches for ``cur``; no link is
     read, and a set is decoded only to name it in a refusal."""
     k = inst.k
-    # prefix cut i is row k-2+i; the largest lo of a nonempty set is read
-    # from its top bit, link id f > k having lo = f - k + 1
-    high = max(cur.bit_length() - k, 1)
+    base = k - 2  # prefix cut i is row base + i
+    # the largest lo of a nonempty set is read from its top bit, link id
+    # f > k having lo = f - k + 1, and lo = 1 below that
+    high = cur.bit_length() - k
+    if high < 1:
+        high = 1
     moves: list[MoveStep] = []
     while high > 1:
-        sub = rows[k - 2 + high]
+        sub = rows[base + high]
         if cur & ~sub:
             raise CertificationError(f"link set {bit_ids(cur)} not inside prefix cut {high}")
         complement = sub ^ cur
@@ -364,8 +368,10 @@ def _move_loop(inst: Instance, rows: Sequence[int], cur: int) -> tuple[int, tupl
             raise CertificationError(
                 f"link set {bit_ids(cur)} leaves no complement in prefix cut {high}"
             )
-        low = max(complement.bit_length() - k, 1)
-        add = rows[k - 2 + low]
+        low = complement.bit_length() - k
+        if low < 1:
+            low = 1
+        add = rows[base + low]
         if complement & ~add:
             raise CertificationError(
                 f"complement set {bit_ids(complement)} not inside prefix cut {low}"
@@ -373,7 +379,9 @@ def _move_loop(inst: Instance, rows: Sequence[int], cur: int) -> tuple[int, tupl
         new = add ^ complement
         if not new:
             raise CertificationError(f"move {high}->{low} left no link")
-        new_high = max(new.bit_length() - k, 1)
+        new_high = new.bit_length() - k
+        if new_high < 1:
+            new_high = 1
         if new_high >= high:
             raise CertificationError(f"move {high}->{low} made no progress")
         moves.append(MoveStep(high, low, new))
@@ -441,8 +449,7 @@ def full_reduction(inst: Instance, circulant: IntMatrix | None = None) -> list[R
         circulant = build_circulant(k)
     # column j of the circulant: the paths i with a 1 in row i
     columns = [
-        frozenset(i for i, x in enumerate(circulant.entries[c :: k - 1], 1) if x)
-        for c in range(k - 1)
+        frozenset(compress(range(1, k), circulant.entries[c :: k - 1])) for c in range(k - 1)
     ]
     traces: list[ReductionTrace] = []
     for j, column in enumerate(columns, start=1):

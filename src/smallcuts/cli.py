@@ -135,8 +135,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.strategy in ("brute", "both"):
         # refused from k alone: an instance past the budget is never built
         check_brute_nodes(node_count(args.k))
+    started = time.perf_counter()  # elapsed_seconds covers construction too
     inst = build_instance(args.k)
-    started = time.perf_counter()
     families = {}
     if args.strategy in ("brute", "both"):
         families["brute"] = enumerate_bruteforce(inst.graph)

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, repeat
+from operator import index
 from typing import Iterable, NamedTuple
 
 from .exactmath import IntMatrix
@@ -112,7 +114,14 @@ class Instance:
 
 
 def _check_k(k: int) -> None:
-    if k < 4 or k % 2 != 0:
+    """Refuse a k that is not an even integer >= 4.  An integer is whatever
+    ``operator.index`` accepts, numpy's included; a float, a Fraction or a
+    string is refused even when its value is an even integer."""
+    try:
+        i = index(k)
+    except TypeError:
+        i = 0  # refused below, with the same message
+    if i < 4 or i % 2 != 0:
         raise ValueError(f"k must be an even integer >= 4, got {k}")
 
 
@@ -122,12 +131,6 @@ def node_count(k: int) -> int:
 
 def link_count(k: int) -> int:
     return node_count(k) + k - 2
-
-
-def qset_of_node(k: int, v: int) -> int:
-    """Index of the interval containing internal node v."""
-    half = k // 2
-    return (v - 2) // half + 1
 
 
 def edge_capacity(k: int, i: int) -> int:
@@ -140,11 +143,16 @@ def edge_capacity(k: int, i: int) -> int:
     n = node_count(k)
     if not 1 <= i <= n - 1:
         raise ValueError(f"chain edge position {i} out of range 1..{n - 1}")
+    return _chain_capacity(k // 2, n, i)
+
+
+def _chain_capacity(half: int, n: int, i: int) -> int:
+    """``edge_capacity`` for a k already checked, ``half = k/2`` and
+    ``n = node_count(k)``: 2 at both ends; otherwise 1 where node i is the
+    last of its interval, (i - 2) % half == half - 1, and 3 elsewhere."""
     if i == 1 or i == n - 1:
         return 2
-    if qset_of_node(k, i) == qset_of_node(k, i + 1):
-        return 3
-    return 1
+    return 1 if (i - 2) % half == half - 1 else 3
 
 
 def e2_endpoints(k: int, j: int) -> tuple[int, int]:
@@ -191,24 +199,28 @@ def build_qsets(k: int) -> tuple[QSet, ...]:
 
 
 def build_graph(k: int) -> CapGraph:
+    """The chain edges (i, i + 1, ``edge_capacity(k, i)``) for i = 1..n-1,
+    then the chords ``e2_endpoints(k, j)`` of capacity 1 for j = 1..k-1;
+    k is checked once, not once per edge."""
     _check_k(k)
     n = node_count(k)
-    edges = [Edge(i, i + 1, edge_capacity(k, i)) for i in range(1, n)]
-    for j in range(1, k):
-        lo, hi = e2_endpoints(k, j)
-        edges.append(Edge(lo, hi, 1))
-    return CapGraph(n=n, edges=tuple(edges), lam=LAMBDA)
+    caps = map(partial(_chain_capacity, k // 2, n), range(1, n))
+    steps = map(Edge._make, zip(range(1, n), range(2, n + 1), caps))
+    chords = (Edge(*e2_endpoints(k, j), 1) for j in range(1, k))
+    return CapGraph(n=n, edges=(*steps, *chords), lam=LAMBDA)
 
 
 def build_circulant(k: int) -> IntMatrix:
     """(k-1) x (k-1) path/interval incidence matrix; circulant with k/2 ones
-    per row.  Entry (i, j) is ``path_q_incidence(k, i, j)``; k is checked
-    once, not once per entry."""
+    per row.  Entry (i, j) is ``path_q_incidence(k, i, j)``: row 1 holds
+    ones in columns 1..k/2, and row i is row 1 rotated right by i - 1."""
     _check_k(k)
+    half = k // 2
+    twice = ([1] * half + [0] * (half - 1)) * 2  # row 1, twice over
     return IntMatrix(
         k - 1,
         k - 1,
-        tuple(1 if _meets(k, i, j) else 0 for i in range(1, k) for j in range(1, k)),
+        tuple(chain.from_iterable(twice[k - i : 2 * k - 1 - i] for i in range(1, k))),
     )
 
 
@@ -217,19 +229,26 @@ def build_links(k: int) -> tuple[Link, ...]:
     interval j, ascending, take its nodes in ascending order.
 
     Source link i starts path i, and node v's forward link, id k + v - 1,
-    continues v's path.  Each link is made ending at the sink and is
-    redirected when its path's next node comes up, so every path runs from
-    1 to n through increasing nodes; path k is the single link (1, n).
+    continues v's path: it ends at the next node of that path, or at the
+    sink after its last node.  So every path runs from 1 to n through
+    increasing nodes; path k, which meets no interval, is the single link
+    (1, n).  One sweep down the nodes finds each node's successor.
     """
+    _check_k(k)
     n = node_count(k)
-    links = [Link(i, 1, n, i) for i in range(1, k + 1)]
-    tail = list(range(-1, k))  # tail[i]: position of path i's latest link
+    owner = [0] * n  # owner[v]: the path through internal node v
     for q in build_qsets(k):
-        for i, v in zip(meeting_paths(k, q.index), range(q.first, q.last + 1)):
-            links[tail[i]] = links[tail[i]]._replace(hi=v)
-            tail[i] = len(links)
-            links.append(Link(k + v - 1, v, n, i))
-    return tuple(links)
+        owner[q.first : q.last + 1] = meeting_paths(k, q.index)
+    upper = [n] * (k + 1)  # upper[i]: the lowest node of path i swept so far
+    ends = [n] * n  # ends[v]: the hi of node v's forward link
+    for v in range(n - 1, 1, -1):
+        i = owner[v]
+        ends[v] = upper[i]
+        upper[i] = v
+    paths = range(1, k + 1)
+    source = zip(paths, repeat(1), upper[1:], paths)
+    forward = zip(range(k + 1, k + n - 1), range(2, n), ends[2:], owner[2:])
+    return tuple(map(Link._make, chain(source, forward)))
 
 
 def build_instance(k: int) -> Instance:

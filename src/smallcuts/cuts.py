@@ -27,12 +27,13 @@ below the graph threshold, by one of three strategies:
   ``--strategy both``, and when the certifier's count proves nothing.  Nodes
   with the same transition share one table of it, built once: the built
   instances have 11 distinct tables at every k, and the walk reads them.
-  Its work grows as 2^width in the frontier width, which is capped at
-  ``MAX_FRONTIER_WIDTH`` = 16; the built instances have width 2.  On a
-  shared 2-core x86 host with CPython 3.11 (medians of 9-21 calls, in five
-  rounds) the forward pass takes 1.7-2.6 ms at k = 24 (n = 278), 6-12 ms
-  at k = 48 (n = 1130) and 21-46 ms at k = 94 (n = 4373); the walk about
-  0.01 s, 0.2-0.3 s and 3.4-4.6 s;
+  Each table's path counts are read in C, one ``itemgetter`` per
+  predecessor rank.  Its work grows as 2^width in the frontier width,
+  which is capped at ``MAX_FRONTIER_WIDTH`` = 16; the built instances have
+  width 2.  On a shared 2-core x86 host with CPython 3.11 (medians of 9-21
+  calls, in five rounds) the forward pass takes 1.1-2.5 ms at k = 24
+  (n = 278), 4.1-8.8 ms at k = 48 (n = 1130) and 16-34 ms at k = 94
+  (n = 4373); the walk about 0.01 s, 0.2-0.3 s and 3.4-4.6 s;
 * ``karger_probe`` repeats seeded capacity-weighted edge contraction, which
   can only ever find genuine cuts and serves as a randomized stress test.
 """
@@ -43,6 +44,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from operator import add, itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -337,6 +339,21 @@ def _transition(
     return tuple(index), tuple(map(tuple, back))
 
 
+def _getters(table: Table) -> tuple[itemgetter, ...]:
+    """Getters that read the path counts after a node from those before it,
+    in C.  Getter r takes, from counts with a 0 after the last state, the
+    count of each state's r-th predecessor, or that 0 (index -1) for a state
+    with fewer, and then the 0 again.  Their tuples summed entry by entry
+    are the counts after the node, with a 0 after the last state.  The
+    trailing index makes every getter return a tuple; a table of no states
+    has one getter, which reads the 0 twice."""
+    ranks = max(map(len, table), default=1)
+    return tuple(
+        itemgetter(*[back[r][0] if r < len(back) else -1 for back in table] or [-1], -1)
+        for r in range(ranks)
+    )
+
+
 def enumerate_flow(g: CapGraph) -> FrontierFamily:
     """Every small cut, by dynamic programming over a node-order frontier.
 
@@ -356,10 +373,13 @@ def enumerate_flow(g: CapGraph) -> FrontierFamily:
     transition reads only the states before the node, the weights of the
     node's edges down to open nodes and the open positions it keeps, so it
     is built once per distinct key of those three and its table is shared
-    by every node with that key; a node with a known key costs one dict
-    lookup and one sum of path counts per state.  This holds for any graph:
-    one whose nodes all differ only builds every table.  The built
-    instances have 11 distinct tables at every k.
+    by every node with that key.  A node with a known key costs one dict
+    lookup and, per predecessor rank of its table, one C-level read of the
+    path counts (``_getters``) and one C-level add.  This holds for any
+    graph: one whose nodes all differ only builds every table.  The built
+    instances have 11 distinct tables at every k.  Each node's weights and
+    kept positions come from one pass over the nodes, which also finds the
+    width, and each distinct pair of them is held once.
 
     The work grows as ``2**width``, where the width is the largest number of
     open nodes; a graph wider than ``MAX_FRONTIER_WIDTH`` raises
@@ -375,15 +395,32 @@ def enumerate_flow(g: CapGraph) -> FrontierFamily:
     lower: list[dict[int, int]] = [{} for _ in range(n + 1)]
     reach = list(range(n + 1))  # reach[u]: the highest node joined to u
     for x, y, c in g.edges:
-        lo, hi = min(x, y), max(x, y)
-        if lo != hi:
-            lower[hi][lo] = lower[hi].get(lo, 0) + c
-            reach[lo] = max(reach[lo], hi)
-    # frontiers[v]: the open nodes after node v, in index order.
-    frontiers: list[tuple[int, ...]] = [()]
-    for v in range(1, n + 1):
-        frontiers.append(tuple(u for u in (*frontiers[-1], v) if reach[u] > v))
-    width = max(map(len, frontiers))
+        if x != y:
+            lo, hi = (x, y) if x < y else (y, x)
+            down = lower[hi]
+            down[lo] = down.get(lo, 0) + c
+            if reach[lo] < hi:
+                reach[lo] = hi
+    # pairs[v - 2]: node v's (weights, keep), the one object of each
+    # distinct pair.  front is the open nodes after the latest node, in
+    # index order: those before it, then the node itself, that have an edge
+    # above it.  start is the number open after node 1.
+    interned: dict[tuple, tuple] = {}
+    pairs: list[tuple] = []
+    front: tuple[int, ...] = (1,) if reach[1] > 1 else ()
+    start = width = len(front)
+    for v in range(2, n + 1):
+        pos = front.index  # every node below v joined to v is open before v
+        weights = tuple([(pos(u), c) for u, c in lower[v].items()])
+        after = [u for u in front if reach[u] > v]
+        keep = [pos(u) for u in after]
+        if reach[v] > v:
+            after.append(v)
+            keep.append(len(front))
+        pair = (weights, tuple(keep))
+        pairs.append(interned.setdefault(pair, pair))
+        front = tuple(after)
+        width = max(width, len(front))
     if width > MAX_FRONTIER_WIDTH:
         raise BruteForceSizeError(
             f"frontier width {width} exceeds the budget of {MAX_FRONTIER_WIDTH} "
@@ -391,33 +428,30 @@ def enumerate_flow(g: CapGraph) -> FrontierFamily:
         )
 
     # State lists are interned: lists[i] is state list i and known[lists[i]]
-    # is i.  built maps a (state list id, weights, keep) key to the id of
-    # the next state list, the shared table and, for the path counts, the
-    # table without its sides.  sid is the id of the states after the latest
-    # node, and paths[i] the number of paths from the start into its state
-    # i.  Node 1 is always on side 0; tables[v] is node v's table, with
-    # placeholders for v = 0 and 1.
-    lists = [(((0,) * len(frontiers[1]), 0, 0),)]
+    # is i.  built maps a (state list id, pair) key to the id of the next
+    # state list, the shared table and its count getters.  sid is the id of
+    # the states after the latest node, and paths[i] the number of paths
+    # from the start into its state i, with a 0 after the last state.  Node
+    # 1 is always on side 0; tables[v] is node v's table, with placeholders
+    # for v = 0 and 1.
+    lists = [(((0,) * start, 0, 0),)]
     known = {lists[0]: 0}
-    built: dict[tuple, tuple[int, Table, tuple[tuple[int, ...], ...]]] = {}
-    sid, paths = 0, [1]
+    built: dict[tuple, tuple[int, Table, tuple[itemgetter, ...]]] = {}
+    sid, paths = 0, (1, 0)
     tables: list[Table] = [(), ((),)]
-    for v in range(2, n + 1):
-        before = frontiers[v - 1]
-        pos = before.index  # every node below v joined to v is open before v
-        weights = tuple([(pos(u), c) for u, c in lower[v].items()])
-        keep = tuple([len(before) if u == v else pos(u) for u in frontiers[v]])
-        key = (sid, weights, keep)
-        entry = built.get(key)
+    for pair in pairs:
+        entry = built.get((sid, pair))
         if entry is None:
-            after, table = _transition(lists[sid], weights, keep, lam)
-            sources = tuple([tuple([j for j, _ in back]) for back in table])
-            entry = built[key] = (known.setdefault(after, len(lists)), table, sources)
-            if entry[0] == len(lists):
+            after, table = _transition(lists[sid], *pair, lam)
+            nid = known.setdefault(after, len(lists))
+            entry = built[sid, pair] = (nid, table, _getters(table))
+            if nid == len(lists):
                 lists.append(after)
-        sid, table, sources = entry
-        count = paths.__getitem__
-        paths = [sum(map(count, js)) for js in sources]
+        sid, table, getters = entry
+        counts = getters[0](paths)
+        for get in getters[1:]:
+            counts = map(add, counts, get(paths))
+        paths = tuple(counts)
         tables.append(table)
     final = lists[sid]
     size = sum(p for (_, _, flag), p in zip(final, paths) if flag)

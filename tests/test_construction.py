@@ -4,13 +4,17 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from smallcuts.construction import (
+    Edge,
     Link,
     build_circulant,
+    build_graph,
     build_incidence_matrix,
     build_instance,
+    build_links,
     bit_ids,
     build_qsets,
     e2_endpoints,
@@ -100,6 +104,40 @@ class TestPathIntervalIncidence:
             assert meeting_paths(k, j) == [i for i in range(1, k) if path_q_incidence(k, i, j)]
 
 
+def _links_by_walk(k: int) -> tuple[Link, ...]:
+    """The links laid out one node at a time: each link is made ending at
+    the sink and redirected when its path's next node comes up."""
+    n = node_count(k)
+    links = [Link(i, 1, n, i) for i in range(1, k + 1)]
+    tail = list(range(-1, k))  # tail[i]: position of path i's latest link
+    for q in build_qsets(k):
+        for i, v in zip(meeting_paths(k, q.index), range(q.first, q.last + 1)):
+            links[tail[i]] = links[tail[i]]._replace(hi=v)
+            tail[i] = len(links)
+            links.append(Link(k + v - 1, v, n, i))
+    return tuple(links)
+
+
+@pytest.mark.parametrize("k", [*range(4, 61, 2), 94])
+def test_closed_forms_match_the_rule_by_rule_construction(k):
+    # each edge, link and circulant entry as the rules state it, one by one
+    n = node_count(k)
+    q = [0] + [j for j in range(1, k) for _ in range(k // 2)] + [0]  # q[v - 1]
+    caps = [2 if i in (1, n - 1) else 3 if q[i - 1] == q[i] else 1 for i in range(1, n)]
+    assert [edge_capacity(k, i) for i in range(1, n)] == caps
+    chain_edges = [(i, i + 1, c) for i, c in zip(range(1, n), caps)]
+    chords = [(*e2_endpoints(k, j), 1) for j in range(1, k)]
+    g = build_graph(k)
+    assert (g.n, g.lam) == (n, 5)
+    assert g.edges == tuple(chain_edges + chords)
+    assert all(type(e) is Edge for e in g.edges)
+    links = build_links(k)
+    assert links == _links_by_walk(k)
+    assert all(type(l) is Link for l in links)
+    entries = [int(path_q_incidence(k, i, j)) for i in range(1, k) for j in range(1, k)]
+    assert build_circulant(k) == IntMatrix(k - 1, k - 1, tuple(entries))
+
+
 class TestCirculant:
     def test_k4_matrix(self):
         assert build_circulant(4) == IntMatrix.from_rows(
@@ -178,6 +216,19 @@ class TestInstance:
     def test_rejects_bad_k(self, bad):
         with pytest.raises(ValueError):
             build_instance(bad)
+
+    @pytest.mark.parametrize("bad", [4.0, Fraction(6), "4", 6.5, None, True])
+    def test_rejects_k_that_is_no_integer(self, bad):
+        # refused by the check itself, not by a TypeError from deep inside
+        for build in (build_instance, build_links, build_graph, build_circulant):
+            with pytest.raises(ValueError, match="k must be an even integer >= 4, got "):
+                build(bad)
+
+    def test_numpy_integer_k_builds(self):
+        k = np.int64(6)
+        inst = build_instance(k)
+        assert (inst.n, inst.m) == (17, 21)
+        assert inst.links == build_instance(6).links
 
     def test_k4_forward_link_of_node2(self):
         inst = build_instance(4)

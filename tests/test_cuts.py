@@ -433,18 +433,26 @@ class TestFlowEnumeration:
     def test_single_node_has_no_cut(self):
         assert len(enumerate_flow(CapGraph(n=1, edges=(), lam=5))) == 0
 
-    @pytest.mark.parametrize("lam, expected", ((5, {frozenset({2}): 4}), (4, {})))
+    # lam <= 0 drops every state at the first node: the count reads no state
+    @pytest.mark.parametrize(
+        "lam, expected", ((5, {frozenset({2}): 4}), (4, {}), (0, {}), (-2, {}))
+    )
     def test_two_nodes_sum_parallel_edges(self, lam, expected):
         g = CapGraph(n=2, edges=(Edge(1, 2, 1), Edge(1, 2, 3)), lam=lam)
-        assert {c.side: c.capacity for c in enumerate_flow(g)} == expected
+        fam = enumerate_flow(g)
+        assert len(fam) == len(expected)
+        assert {c.side: c.capacity for c in fam} == expected
 
-    @pytest.mark.parametrize("lam", (1, 4, 6, 11))
+    @pytest.mark.parametrize("lam", (1, 4, 6, 11, 0, -2))
     def test_star_centred_on_the_last_node(self, lam):
-        # every leaf stays open until node 11: frontier width 10
+        # every leaf stays open until node 11: frontier width 10, and a
+        # state after it has up to 114 predecessors (lam = 11)
         edges = tuple(Edge(i, 11, 1 + i % 3) for i in range(1, 11))
         g = CapGraph(n=11, edges=edges, lam=lam)
         fam = enumerate_flow(g)
-        assert {c.side: c.capacity for c in fam} == scan_small_cuts(11, edges, lam)
+        oracle = scan_small_cuts(11, edges, lam)
+        assert len(fam) == len(oracle)  # read before the walk
+        assert {c.side: c.capacity for c in fam} == oracle
 
     @given(
         st.lists(st.integers(1, 4), min_size=28, max_size=28),
@@ -456,7 +464,9 @@ class TestFlowEnumeration:
         edges = tuple(Edge(a, b, c) for (a, b), c in zip(pairs, caps))
         g = CapGraph(n=8, edges=edges, lam=lam)
         fam = enumerate_flow(g)
-        assert {c.side: c.capacity for c in fam} == scan_small_cuts(8, edges, lam)
+        oracle = scan_small_cuts(8, edges, lam)
+        assert len(fam) == len(oracle)  # read before the walk
+        assert {c.side: c.capacity for c in fam} == oracle
 
     def test_wide_star_exceeds_the_width_budget(self):
         g = CapGraph(n=40, edges=tuple(Edge(i, 40, 1) for i in range(1, 40)), lam=5)

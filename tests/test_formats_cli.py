@@ -612,8 +612,9 @@ class TestCli:
         (["verify", "-k", "6", "--strategy", "both"], "verify_k6_both.json"),
         (["verify", "-k", "24", "--strategy", "flow"], "verify_k24_flow.json"),
         (["verify", "-k", "6", "--strategy", "brute"], "verify_k6_brute.json"),
+        (["gen", "-k", "8"], "gen_k8.json"),
     ),
-    ids=("verify", "reduce", "verify-both", "verify-k24", "verify-brute"),
+    ids=("verify", "reduce", "verify-both", "verify-k24", "verify-brute", "gen"),
 )
 def test_documents_match_golden(argv, name, capsys):
     # The documents are byte for byte those of the files under golden/, apart
